@@ -6,7 +6,7 @@
 
 use cobra_bench::telephony_workload;
 use cobra_core::folds::{self, ArgmaxImpact, MaxAbsError};
-use cobra_core::{dp, pareto_frontier, CobraSession, GroupAnalysis};
+use cobra_core::{dp, pareto_frontier, CobraSession, Exact, GroupAnalysis, SweepBudget};
 use cobra_datagen::scenarios;
 use cobra_datagen::telephony::Telephony;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -106,7 +106,7 @@ fn bench_fold_sweep(c: &mut Criterion) {
         |b, (session, grid)| {
             b.iter(|| {
                 session
-                    .sweep_fold_par(*grid, MaxAbsError::new())
+                    .fold_par::<Exact, _>(*grid, &SweepBudget::unlimited(), MaxAbsError::new())
                     .expect("compressed")
             });
         },

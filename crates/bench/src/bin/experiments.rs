@@ -11,8 +11,8 @@
 
 use cobra_bench::{scale_bound, telephony_workload, PAPER_BOUNDS, PAPER_FULL_SIZE};
 use cobra_core::{
-    apply_cut, dp, enumerate_cuts, optimize_forest_descent, pareto_frontier, CobraSession, Cut,
-    GroupAnalysis, SweepBudget,
+    apply_cut, dp, enumerate_cuts, optimize_forest_descent, pareto_frontier, Approx, CobraSession,
+    Cut, Exact, GroupAnalysis, SweepBudget,
 };
 use cobra_datagen::scenarios;
 use cobra_datagen::synthetic::{generate as synth, SyntheticConfig};
@@ -679,7 +679,7 @@ fn e13_budget_overhead() {
     use cobra_util::CancelToken;
     use std::time::Duration;
 
-    println!("## E13 — sweep budgets: hot-path overhead and graceful degradation (`sweep_fold_f64_budgeted`)\n");
+    println!("## E13 — sweep budgets: hot-path overhead and graceful degradation (`fold::<Approx>` under a budget)\n");
 
     let t = Telephony::paper_example();
     let polys = t.revenue_polyset();
@@ -708,7 +708,7 @@ fn e13_budget_overhead() {
             .with_deadline(far_deadline)
             .with_cancel_token(token.clone());
         session
-            .sweep_fold_f64_budgeted(&grid, budget, MaxAbsError::new(), folds::step)
+            .fold::<Approx, _>(&grid, &budget, MaxAbsError::new(), folds::step)
             .expect("compressed")
     };
     // The polling overhead under test is ~1% of a ~130 ms run — below
@@ -745,12 +745,12 @@ fn e13_budget_overhead() {
     let mut table =
         Table::new(["path", "wall clock (best of 9, interleaved)", "vs unbudgeted"]).numeric();
     table.row([
-        "`sweep_fold_f64` (legacy, no budget)".into(),
+        "`sweep_fold_f64` (unlimited budget)".into(),
         format!("{un_ms:.0} ms"),
         "—".into(),
     ]);
     table.row([
-        "`sweep_fold_f64_budgeted` (deadline+token armed, never trips)".into(),
+        "`fold::<Approx>` (deadline+token armed, never trips)".into(),
         format!("{bu_ms:.0} ms"),
         format!("{overhead_pct:+.1}%"),
     ]);
@@ -766,9 +766,9 @@ fn e13_budget_overhead() {
     let slice = Duration::from_secs_f64(un_ms / 1e3 / 4.0);
     let sw = Stopwatch::start();
     let (outcome, _) = session
-        .sweep_fold_f64_budgeted(
+        .fold::<Approx, _>(
             &grid,
-            SweepBudget::unlimited().with_deadline(slice),
+            &SweepBudget::unlimited().with_deadline(slice),
             MaxAbsError::new(),
             folds::step,
         )
@@ -790,14 +790,14 @@ fn e13_budget_overhead() {
     );
 }
 
-/// E11 — the parallel monoid fold-combine engine: `sweep_fold_par` /
+/// E11 — the parallel monoid fold-combine engine: `fold_par::<Exact>` /
 /// `sweep_fold_f64_par` scaling over worker threads, with bit-identity
 /// to the sequential fold asserted on every run.
 fn e11_parallel_folds() {
     use cobra_core::folds::{self, MaxAbsError};
     use cobra_util::par;
 
-    println!("## E11 — parallel monoid fold-combine (`sweep_fold_par`, `sweep_fold_f64_par`)\n");
+    println!("## E11 — parallel monoid fold-combine (`fold_par::<Exact>`, `sweep_fold_f64_par`)\n");
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let t = Telephony::paper_example();
@@ -845,8 +845,10 @@ fn e11_parallel_folds() {
         let sw = Stopwatch::start();
         let worst = par::with_threads(threads, || {
             session
-                .sweep_fold_par(&exact_grid, MaxAbsError::new())
+                .fold_par::<Exact, _>(&exact_grid, &SweepBudget::unlimited(), MaxAbsError::new())
                 .expect("compressed")
+                .0
+                .into_fold()
         });
         let ms = sw.elapsed_ms();
         assert_eq!(exact_seq.max_abs_error, worst.max_abs_error, "bit-identity");
@@ -855,7 +857,7 @@ fn e11_parallel_folds() {
         assert_eq!(exact_seq.argmax_rel, worst.argmax_rel, "bit-identity");
         table.row([
             format!("100³ = {}", thousands(exact_grid.len() as u64)),
-            "exact `Rat` `sweep_fold_par`".into(),
+            "exact `Rat` `fold_par::<Exact>`".into(),
             threads.to_string(),
             format!("{ms:.0} ms"),
             format!("{:.2} µs", ms * 1e3 / exact_grid.len() as f64),

@@ -3,18 +3,29 @@
 //! A 10⁸-scenario sweep is seconds of blocking work — too long for a
 //! shared session answering concurrent requests to be uninterruptible.
 //! [`SweepBudget`] bounds a sweep three ways (wall-clock deadline,
-//! scenario cap, cooperative [`CancelToken`]), and every budgeted fold
-//! entry point checks it at **block granularity**: the streamed sweep
-//! loops (sequential and per-worker alike) poll the budget between
-//! blocks of at most [`stream_block`](crate::scenario) scenarios, so an
-//! exhausted budget stops the sweep within one block's work.
+//! scenario cap, cooperative [`CancelToken`]), and the sweep engine
+//! checks it at **block granularity**: its one block loop (run on the
+//! calling thread for ordered folds, once per worker for mergeable ones)
+//! polls the budget between blocks of at most
+//! [`stream_block`](crate::scenario) scenarios, so an exhausted budget
+//! stops the sweep within one block's work.
 //!
 //! The key property — enabled by the [`MergeFold`](crate::folds::MergeFold)
 //! monoid structure from the fold engine — is that an interrupted sweep
 //! is not best-effort garbage: it returns
 //! [`SweepOutcome::Partial`] whose fold is the in-order merge of the
-//! completed span prefixes, **bit-identical to a sequential fold over the
+//! completed span prefixes, **bit-identical to an ordered fold over the
 //! same scenario prefix**. Graceful degradation is exact by construction.
+//!
+//! There is no "budgeted" variant of anything: every fold entry takes a
+//! `&SweepBudget`, and [`SweepBudget::unlimited`] is how a caller says
+//! "run to completion".
+//!
+//! | precision ([`Precision`](crate::scenario::Precision)) | ordered closure fold | mergeable fold fanned across cores | the report of a `Partial` covers |
+//! |---|---|---|---|
+//! | [`Exact`](crate::scenario::Exact) | [`fold::<Exact>`](crate::session::CobraSession::fold) | [`fold_par::<Exact>`](crate::session::CobraSession::fold_par) | — (`()`) |
+//! | [`Approx`](crate::scenario::Approx) | [`fold::<Approx>`](crate::session::CobraSession::fold) | [`fold_par::<Approx>`](crate::session::CobraSession::fold_par) | the probes inside the completed prefix |
+//! | [`Certified`](crate::scenario::Certified) | [`fold::<Certified>`](crate::session::CobraSession::fold) | [`fold_par::<Certified>`](crate::session::CobraSession::fold_par) | every scenario of the completed prefix |
 
 use crate::error::{CoreError, Result};
 use cobra_util::CancelToken;
@@ -48,8 +59,8 @@ pub struct SweepBudget {
 }
 
 impl SweepBudget {
-    /// A budget that imposes no limits — what the unbudgeted sweep
-    /// surfaces thread through internally.
+    /// A budget that imposes no limits — what a caller passes to run a
+    /// sweep to completion.
     pub fn unlimited() -> SweepBudget {
         SweepBudget::default()
     }
@@ -128,8 +139,8 @@ impl SweepBudget {
     }
 
     /// Rejects statically unsatisfiable budgets (currently: a scenario
-    /// cap of zero over a non-empty set). Every budgeted entry point
-    /// calls this first.
+    /// cap of zero over a non-empty set). Every fold entry calls this
+    /// before any work.
     pub(crate) fn validate(&self, scenarios: usize) -> Result<()> {
         if self.scenario_cap == Some(0) && scenarios > 0 {
             return Err(CoreError::InfeasibleBudget(

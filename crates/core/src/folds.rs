@@ -1,10 +1,10 @@
 //! Built-in streaming sweep folds: O(1)-memory aggregates over scenario
 //! families.
 //!
-//! The fold sweep surface
-//! ([`CobraSession::sweep_fold`](crate::session::CobraSession::sweep_fold),
-//! [`CompiledComparison::sweep_fold`](crate::scenario::CompiledComparison::sweep_fold))
-//! hands each scenario's full/compressed result rows to a callback
+//! The fold entries
+//! ([`CobraSession::fold`](crate::session::CobraSession::fold),
+//! [`CompiledComparison::fold`](crate::scenario::CompiledComparison::fold))
+//! hand each scenario's full/compressed result rows to a callback
 //! instead of materializing the O(scenarios × polys) result matrix. The
 //! aggregate questions the paper's analyst actually asks — *what is the
 //! worst-case error of the abstraction? which scenario moves the results
@@ -24,11 +24,22 @@
 //! (`f64`) streams. Each built-in additionally implements [`MergeFold`] —
 //! a commutative merge of partial accumulators with ties broken toward
 //! the lowest scenario index — so the same fold runs unchanged on the
-//! parallel sweeps
-//! ([`CobraSession::sweep_fold_par`](crate::session::CobraSession::sweep_fold_par))
-//! with results bit-identical to the sequential pass at any thread
+//! mergeable entry
+//! ([`CobraSession::fold_par`](crate::session::CobraSession::fold_par))
+//! with results bit-identical to the ordered pass at any thread
 //! count. Folds compose as tuples: `(MaxAbsError::new(), TopK::new(0, 5))`
 //! is itself a `MergeFold` answering both questions in one pass.
+//!
+//! # Which entry do I call?
+//!
+//! | precision ([`Precision`](crate::scenario::Precision)) | ordered: any closure, or a [`SweepFold`] via [`step`] | mergeable: a [`MergeFold`] fanned across cores |
+//! |---|---|---|
+//! | [`Exact`](crate::scenario::Exact) | `fold::<Exact, _>(set, &budget, fold, folds::step)` | `fold_par::<Exact, _>(set, &budget, fold)` |
+//! | [`Approx`](crate::scenario::Approx) | `fold::<Approx, _>(set, &budget, fold, folds::step)` | `fold_par::<Approx, _>(set, &budget, fold)` |
+//! | [`Certified`](crate::scenario::Certified) | `fold::<Certified, _>(set, &budget, fold, folds::step)` | `fold_par::<Certified, _>(set, &budget, fold)` |
+//!
+//! The session's `sweep_fold`, `sweep_fold_f64`, `sweep_fold_f64_bounded`
+//! and `sweep_fold_f64_par` are sugar over these for the common cases.
 //!
 //! # Example
 //!
@@ -37,7 +48,7 @@
 //!
 //! ```
 //! use cobra_core::folds::{self, MaxAbsError, SweepFold, TopK};
-//! use cobra_core::{CobraSession, ScenarioSet};
+//! use cobra_core::{CobraSession, Exact, ScenarioSet, SweepBudget};
 //! use cobra_util::Rat;
 //!
 //! let mut session = CobraSession::from_text(
@@ -73,6 +84,20 @@
 //! assert!(top[0].1 >= top[1].1);
 //! // The maximum sits at m3=1.2, p1=1.1 — the last grid point.
 //! assert_eq!(top[0].0, grid.len() - 1);
+//!
+//! // Both questions in one pass fanned across cores — a tuple of folds is
+//! // a `MergeFold` — bit-identical to the ordered folds above.
+//! let (outcome, ()) = session
+//!     .fold_par::<Exact, _>(
+//!         &grid,
+//!         &SweepBudget::unlimited(),
+//!         (MaxAbsError::new(), TopK::new(0, 2)),
+//!     )
+//!     .unwrap();
+//! let (par_worst, par_top) = outcome.into_fold();
+//! assert_eq!(par_worst.max_rel_error, worst.max_rel_error);
+//! assert_eq!(par_worst.argmax_rel, worst.argmax_rel);
+//! assert_eq!(par_top.finish(), top);
 //! ```
 
 use crate::scenario::FoldItem;
@@ -111,9 +136,9 @@ pub fn step<C: Coeff, F: SweepFold>(mut fold: F, item: FoldItem<'_, C>) -> F {
 }
 
 /// A [`SweepFold`] whose partial accumulators can be **merged** — the
-/// monoid structure the parallel fold engines
-/// ([`CobraSession::sweep_fold_par`](crate::session::CobraSession::sweep_fold_par),
-/// [`CompiledComparison::sweep_fold_par`](crate::scenario::CompiledComparison::sweep_fold_par))
+/// monoid structure the mergeable fold entries
+/// ([`CobraSession::fold_par`](crate::session::CobraSession::fold_par),
+/// [`CompiledComparison::fold_par`](crate::scenario::CompiledComparison::fold_par))
 /// fan scenario blocks across worker threads with: every worker owns a
 /// replica built by [`init`](Self::init), accepts its contiguous scenario
 /// span in ascending order, and the partials are merged back **in
@@ -168,7 +193,7 @@ pub trait MergeFold: SweepFold + Sized {
 
 /// Pairs fold in lockstep: both components see every item, so one pass
 /// answers two aggregate questions
-/// (`sweep_fold_par(set, (MaxAbsError::new(), TopK::new(0, 5)))`).
+/// (`fold_par::<Exact, _>(set, &budget, (MaxAbsError::new(), TopK::new(0, 5)))`).
 impl<A: SweepFold, B: SweepFold> SweepFold for (A, B) {
     type Output = (A::Output, B::Output);
 

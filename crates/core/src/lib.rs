@@ -35,7 +35,7 @@
 //!   oracle for tests.
 //! * [`budget`] — sweep budgets ([`SweepBudget`]: deadlines, scenario
 //!   caps, cooperative cancellation) and exact partial results
-//!   ([`SweepOutcome`]), threaded through every fold entry point.
+//!   ([`SweepOutcome`]); every fold entry takes one.
 //! * [`multi`] — multi-tree forests via coordinate descent (extension
 //!   beyond the demo's single-tree setting), including the descent-built
 //!   forest staircase ([`plan_forest_frontier`]) behind
@@ -53,9 +53,8 @@
 //! * [`scenario`] — batched scenario sweeps over the compiled evaluation
 //!   engine: many hypotheticals evaluated in one pass on both the full and
 //!   the compressed provenance, with allocation-free grid binding and the
-//!   streaming fold engine every sweep surface is built on — plus the
-//!   parallel fold-combine engines (`sweep_fold_par`,
-//!   [`fold_program_sweep_par`]) that fan scenario spans across cores.
+//!   one streaming span driver every sweep surface is built on, generic
+//!   over a sealed [`Precision`] ([`Exact`], [`Approx`], [`Certified`]).
 //! * [`folds`] — built-in O(1)-memory sweep aggregates ([`folds::MaxAbsError`],
 //!   [`folds::ArgmaxImpact`], [`folds::Histogram`], [`folds::TopK`]), all
 //!   mergeable ([`MergeFold`]) so the same fold runs sequentially or
@@ -64,6 +63,24 @@
 //!   including `compile_dag()`: algebraic compression of the compiled
 //!   engines (shared-subterm DAG programs), composable with any cut.
 //! * [`report`] — displayable compression reports.
+//!
+//! ## Which fold entry do I call?
+//!
+//! Streaming sweeps are two entries — on [`CobraSession`] and, one level
+//! down, on [`CompiledComparison`] — times three precisions:
+//!
+//! | I want… | ordered closure fold, on the calling thread | [`MergeFold`] fanned across cores |
+//! |---|---|---|
+//! | exact `Rat` answers | [`fold::<Exact>`](CobraSession::fold) (sugar: [`sweep_fold`](CobraSession::sweep_fold)) | [`fold_par::<Exact>`](CobraSession::fold_par) |
+//! | `f64` speed, 16 exact probes → [`F64Divergence`] | [`fold::<Approx>`](CobraSession::fold) (sugar: [`sweep_fold_f64`](CobraSession::sweep_fold_f64)) | [`fold_par::<Approx>`](CobraSession::fold_par) (sugar: [`sweep_fold_f64_par`](CobraSession::sweep_fold_f64_par)) |
+//! | `f64` speed, sound bound on every scenario → [`F64ErrorBound`] | [`fold::<Certified>`](CobraSession::fold) (sugar: [`sweep_fold_f64_bounded`](CobraSession::sweep_fold_f64_bounded)) | [`fold_par::<Certified>`](CobraSession::fold_par) |
+//!
+//! All six take a `&`[`SweepBudget`] ([`SweepBudget::unlimited`] when
+//! nothing should stop the sweep) and return the fold as a
+//! [`SweepOutcome`] next to the precision's report; `fold_par` is
+//! bit-identical to `fold` at any thread count. The materializing
+//! [`sweep`](CobraSession::sweep) / [`sweep_f64`](CobraSession::sweep_f64)
+//! are the ordered entry with an appending accumulator.
 //!
 //! ## Quick start
 //!
@@ -121,17 +138,15 @@ pub use planner::{
 };
 pub use folds::{MergeFold, SweepFold};
 pub use scenario::{
-    fold_program_sweep, fold_program_sweep_budgeted, fold_program_sweep_par,
-    fold_program_sweep_par_budgeted, measure_sweep_speedup, sweep_full_vs_compressed,
-    CompiledComparison, ErrorShadow, F64Divergence, F64ErrorBound, F64ScenarioSweep, FoldItem,
-    PairBinder, ScenarioSweep,
+    fold_program_sweep_par, measure_sweep_speedup, Approx, Certified, CompiledComparison,
+    ErrorShadow, Exact, F64Divergence, F64ErrorBound, F64ScenarioSweep, FoldItem, PairBinder,
+    Precision, ScenarioSweep,
 };
 pub use scenario_set::{Axis, AxisOp, GridBuilder, RowBinder, ScenarioSet};
 pub use sensitivity::{scenario_impacts, SensitivityReport};
 pub use hydrate::{restore_session, restore_session_from_bytes, snapshot_session};
 pub use multi::{
-    forest_sweep, forest_sweep_fold, forest_sweep_fold_budgeted, forest_sweep_fold_par,
-    forest_sweep_fold_par_budgeted, optimize_forest_descent, plan_forest_frontier, ForestFrontier,
+    forest_sweep, optimize_forest_descent, plan_forest_frontier, ForestFrontier,
     ForestFrontierPoint, ForestSolution,
 };
 pub use report::{frontier_table, CompressionReport, DagReport};

@@ -247,10 +247,10 @@ pub fn optimize_single_tree<C: Coeff>(
 /// sessions run their scenario exploration through the same compiled
 /// engine as single-tree ones (meta-variables from every tree project at
 /// once). Accepts anything convertible to a
-/// [`ScenarioSet`] — grids stream without materializing valuations. Like
-/// every sweep surface this is backed by the streaming fold engine
-/// ([`CompiledComparison::sweep_fold`]); use [`forest_sweep_fold`] to
-/// aggregate huge families without materializing the result matrix.
+/// [`ScenarioSet`] — grids stream without materializing valuations. To
+/// aggregate huge families without the result matrix, or under a budget,
+/// call [`CompiledComparison::fold`] / [`CompiledComparison::fold_par`]
+/// on the same compiled pair with `(&applied.meta_vars, base)`.
 pub fn forest_sweep(
     set: &PolySet<Rat>,
     applied: &AppliedAbstraction<Rat>,
@@ -259,85 +259,6 @@ pub fn forest_sweep(
 ) -> ScenarioSweep {
     let engines = CompiledComparison::compile(set, &applied.compressed);
     engines.sweep(&applied.meta_vars, base, &scenarios.into())
-}
-
-/// Streaming fold over a forest application's full-vs-compressed results:
-/// [`forest_sweep`] without the O(scenarios × polys) result matrix. Each
-/// scenario's result rows are handed to `f` as a
-/// [`FoldItem`](crate::scenario::FoldItem) in enumeration order, so a
-/// 10⁷-scenario grid aggregates (max error, argmax impact, histograms)
-/// in O(1) output memory over a multi-tree compression.
-pub fn forest_sweep_fold<A>(
-    set: &PolySet<Rat>,
-    applied: &AppliedAbstraction<Rat>,
-    base: &Valuation<Rat>,
-    scenarios: impl Into<ScenarioSet>,
-    init: A,
-    f: impl FnMut(A, crate::scenario::FoldItem<'_, Rat>) -> A,
-) -> A {
-    let engines = CompiledComparison::compile(set, &applied.compressed);
-    engines.sweep_fold(&applied.meta_vars, base, &scenarios.into(), init, f)
-}
-
-/// [`forest_sweep_fold`] **fanned across cores**: any
-/// [`MergeFold`](crate::folds::MergeFold) aggregates a multi-tree
-/// compression's full-vs-compressed stream with per-worker binders and
-/// fold replicas, merged in ascending span order — bit-identical to the
-/// sequential fold at any thread count (see
-/// [`CompiledComparison::sweep_fold_par`]).
-pub fn forest_sweep_fold_par<F: crate::folds::MergeFold + Send + Sync>(
-    set: &PolySet<Rat>,
-    applied: &AppliedAbstraction<Rat>,
-    base: &Valuation<Rat>,
-    scenarios: impl Into<ScenarioSet>,
-    fold: F,
-) -> F {
-    let engines = CompiledComparison::compile(set, &applied.compressed);
-    engines.sweep_fold_par(&applied.meta_vars, base, &scenarios.into(), fold)
-}
-
-/// [`forest_sweep_fold`] under a
-/// [`SweepBudget`](crate::budget::SweepBudget): the forest sibling of
-/// [`CompiledComparison::sweep_fold_budgeted`], returning the exact fold
-/// over the completed scenario prefix when the budget runs out.
-///
-/// # Errors
-/// [`CoreError::InfeasibleBudget`]
-/// when the budget is statically unsatisfiable.
-pub fn forest_sweep_fold_budgeted<A>(
-    set: &PolySet<Rat>,
-    applied: &AppliedAbstraction<Rat>,
-    base: &Valuation<Rat>,
-    scenarios: impl Into<ScenarioSet>,
-    budget: &crate::budget::SweepBudget,
-    init: A,
-    f: impl FnMut(A, crate::scenario::FoldItem<'_, Rat>) -> A,
-) -> Result<crate::budget::SweepOutcome<A>> {
-    let engines = CompiledComparison::compile(set, &applied.compressed);
-    engines.sweep_fold_budgeted(&applied.meta_vars, base, &scenarios.into(), budget, init, f)
-}
-
-/// [`forest_sweep_fold_par`] under a
-/// [`SweepBudget`](crate::budget::SweepBudget) with worker faults
-/// isolated — the forest sibling of
-/// [`CompiledComparison::sweep_fold_par_budgeted`], with the same partial
-/// bit-identity and panic-surfacing contracts.
-///
-/// # Errors
-/// [`CoreError::InfeasibleBudget`]
-/// for statically unsatisfiable budgets;
-/// [`CoreError::WorkerPanicked`]
-/// when a worker panicked (the process stays live).
-pub fn forest_sweep_fold_par_budgeted<F: crate::folds::MergeFold + Send + Sync>(
-    set: &PolySet<Rat>,
-    applied: &AppliedAbstraction<Rat>,
-    base: &Valuation<Rat>,
-    scenarios: impl Into<ScenarioSet>,
-    budget: &crate::budget::SweepBudget,
-    fold: F,
-) -> Result<crate::budget::SweepOutcome<F>> {
-    let engines = CompiledComparison::compile(set, &applied.compressed);
-    engines.sweep_fold_par_budgeted(&applied.meta_vars, base, &scenarios.into(), budget, fold)
 }
 
 #[cfg(test)]

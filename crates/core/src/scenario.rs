@@ -19,15 +19,17 @@
 use crate::assign::{self, ResultComparison, ResultRow, SpeedupMeasurement};
 use crate::budget::{StopReason, SweepBudget, SweepOutcome};
 use crate::cut::MetaVar;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::folds::MergeFold;
-use crate::scenario_set::{base_value, for_each_grid_digit, RowBinder, ScenarioSet};
+use crate::scenario_set::{base_value, for_each_grid_digit, ScenarioSet};
+use crate::session::CobraSession;
 use cobra_provenance::compile::LANES;
 use cobra_provenance::{
     BatchEvaluator, Coeff, EvalProgram, FixedScratch, LaneScratch, PolySet, Valuation, Var,
 };
+use cobra_util::kernel::{self, F64Kernel};
 use cobra_util::timing::time_best_of;
-use cobra_util::{faults, kernel, par, CancelToken, FxHashMap, FxHashSet, Rat};
+use cobra_util::{faults, par, CancelToken, FxHashMap, FxHashSet, Rat};
 use std::panic::resume_unwind;
 
 /// Scenarios bound and evaluated per streamed block: a handful of lane
@@ -128,8 +130,6 @@ impl F64Divergence {
 
 /// The evenly spaced probe indices of an `n`-scenario `f64` sweep:
 /// up to [`F64_PROBES`] indices, deduplicated (`n` may be smaller).
-/// Factored out so the sequential and parallel `f64` engines re-evaluate
-/// exactly the same scenarios.
 fn f64_probe_indices(n: usize) -> Vec<usize> {
     if n == 0 {
         return Vec::new();
@@ -154,74 +154,10 @@ struct SpanProgress {
     reason: Option<StopReason>,
 }
 
-impl SpanProgress {
-    fn begin(range: &std::ops::Range<usize>) -> SpanProgress {
-        SpanProgress {
-            start: range.start,
-            done: range.start,
-            end: range.end,
-            reason: None,
-        }
-    }
-}
-
-/// Merges worker partials in ascending span order while the covered
-/// prefix stays contiguous and complete: every fully completed span is
-/// absorbed, the first interrupted span contributes its own completed
-/// prefix and ends the merge, and everything after it is discarded. The
-/// result is exactly the fold state of a sequential pass over
-/// `0..returned_done` — the bit-identity contract of
-/// [`SweepOutcome::Partial`].
-fn merge_span_prefix<T>(
-    partials: Vec<(SpanProgress, T)>,
-    mut absorb: impl FnMut(T),
-) -> (usize, Option<StopReason>) {
-    let mut done = 0usize;
-    let mut stop = None;
-    for (span, payload) in partials {
-        if span.start != done {
-            break; // unreachable by construction; belt and braces
-        }
-        absorb(payload);
-        done = span.done;
-        if span.done < span.end {
-            stop = span.reason;
-            break;
-        }
-    }
-    (done, stop)
-}
-
-/// Classifies a finished sweep: a dynamic stop wins, then a scenario cap
-/// (`n_target < n`), otherwise the sweep is complete.
-fn outcome_for<T>(
-    fold: T,
-    done: usize,
-    n: usize,
-    n_target: usize,
-    stop: Option<StopReason>,
-) -> SweepOutcome<T> {
-    if done < n_target {
-        SweepOutcome::Partial {
-            fold,
-            scenarios_done: done,
-            reason: stop.unwrap_or(StopReason::Cancelled),
-        }
-    } else if n_target < n {
-        SweepOutcome::Partial {
-            fold,
-            scenarios_done: done,
-            reason: StopReason::ScenarioCap,
-        }
-    } else {
-        SweepOutcome::Complete(fold)
-    }
-}
-
 /// A **sound** per-sweep rounding-error certificate for the `f64` fast
-/// path, computed by the Higham-style shadow fold of
-/// [`CompiledComparison::sweep_fold_f64_bounded`]: alongside each block,
-/// the absolute-value shadow programs ([`ErrorShadow`]) are evaluated on
+/// path, computed by the Higham-style shadow fold of the [`Certified`]
+/// precision: alongside each block, the absolute-value shadow programs
+/// ([`ErrorShadow`]) are evaluated on
 /// the elementwise magnitudes of the same scenario rows, and
 /// `γ_k · Σ|c|Π|x|^e` bounds each result's rounding error a priori.
 ///
@@ -297,8 +233,8 @@ fn gamma_eff(k: u32) -> f64 {
 /// absolute-coefficient twin programs
 /// ([`EvalProgram::to_abs_program`]) plus per-polynomial `γ_k` factors
 /// derived from [`EvalProgram::rounding_op_counts`]. Build it once per
-/// compression (the session caches it) and pass it to
-/// [`CompiledComparison::sweep_fold_f64_bounded`]; evaluating the shadow
+/// compression (the session caches it) and pass it as part of
+/// [`Certified`]'s engines; evaluating the shadow
 /// roughly doubles the per-scenario kernel cost.
 #[derive(Clone, Debug)]
 pub struct ErrorShadow {
@@ -310,8 +246,8 @@ pub struct ErrorShadow {
 
 impl ErrorShadow {
     /// Builds the shadow for the `(full, compressed)` `f64` engines of a
-    /// comparison (the same pair handed to the `sweep_fold_f64*`
-    /// engines).
+    /// comparison (the same pair [`Approx`] and [`Certified`] evaluate
+    /// through).
     pub fn new(full64: &BatchEvaluator<f64>, comp64: &BatchEvaluator<f64>) -> ErrorShadow {
         let gammas = |prog: &EvalProgram<f64>| -> Vec<f64> {
             prog.rounding_op_counts().into_iter().map(gamma_eff).collect()
@@ -416,26 +352,7 @@ impl CompiledComparison {
         full: BatchEvaluator<Rat>,
         compressed: BatchEvaluator<Rat>,
     ) -> CompiledComparison {
-        assert_eq!(
-            full.program().num_polys(),
-            self.full.program().num_polys(),
-            "probe twin must mirror the full program's outputs"
-        );
-        assert_eq!(
-            full.program().num_locals(),
-            self.full.program().num_locals(),
-            "probe twin must share the full program's local layout"
-        );
-        assert_eq!(
-            compressed.program().num_polys(),
-            self.compressed.program().num_polys(),
-            "probe twin must mirror the compressed program's outputs"
-        );
-        assert_eq!(
-            compressed.program().num_locals(),
-            self.compressed.program().num_locals(),
-            "probe twin must share the compressed program's local layout"
-        );
+        self.assert_mirrored_by("probe twin", full.program(), compressed.program());
         self.probe = Some(Box::new((full, compressed)));
         self
     }
@@ -449,11 +366,15 @@ impl CompiledComparison {
         }
     }
 
-    /// Evaluates every scenario of `set` on both sides, streaming grid
-    /// scenarios straight into the batch kernels in blocks — see
-    /// [`sweep_full_vs_compressed`] for the scenario semantics. This is
-    /// [`sweep_fold`](Self::sweep_fold) with an appending fold: the only
-    /// O(scenarios) memory is the returned result matrix itself.
+    /// Evaluates every scenario of `set` on both sides and materializes
+    /// the result matrix: [`fold`](Self::fold)`::<Exact>` with an
+    /// appending accumulator, so the only O(scenarios) memory is the
+    /// returned matrix itself. Scenarios are leaf-level, merged over
+    /// `base` and projected onto `metas` by group averaging, exactly like
+    /// [`CobraSession::assign`](crate::session::CobraSession::assign).
+    ///
+    /// # Panics
+    /// Same conditions as [`fold`](Self::fold).
     pub fn sweep(
         &self,
         metas: &[MetaVar],
@@ -466,11 +387,15 @@ impl CompiledComparison {
             Vec::with_capacity(n * np),
             Vec::with_capacity(n * np),
         );
-        let (full, compressed) = self.sweep_fold(metas, base, set, init, |(mut f, mut c), item| {
+        let append = |(mut f, mut c): (Vec<Rat>, Vec<Rat>), item: FoldItem<'_, Rat>| {
             f.extend_from_slice(item.full);
             c.extend_from_slice(item.compressed);
             (f, c)
-        });
+        };
+        let (outcome, ()) = self
+            .fold::<Exact, _>((), (metas, base), set, &SweepBudget::unlimited(), init, append)
+            .expect("unlimited budgets cannot fail");
+        let (full, compressed) = outcome.into_fold();
         ScenarioSweep {
             labels: self.full.program().labels().to_vec(),
             num_scenarios: n,
@@ -479,905 +404,129 @@ impl CompiledComparison {
         }
     }
 
-    /// Streams every scenario of `set` through both compiled engines and
-    /// folds the per-scenario results into an accumulator — the streaming
-    /// heart every sweep surface is built on. Scenarios are bound in
-    /// blocks by the allocation-free [`PairBinder`], evaluated through
-    /// the batch kernels, and handed to `f` in enumeration order as
-    /// [`FoldItem`]s; peak transient memory is O(block × row) regardless
-    /// of the set's cardinality, so a 10⁷-scenario grid aggregates in
-    /// O(1) output memory.
+    /// The **ordered** fold entry: streams the scenarios of `set` through
+    /// both sides in precision `P` and folds each scenario's result rows
+    /// into an accumulator, on the calling thread, in enumeration order.
+    /// Scenarios are bound in blocks by the allocation-free
+    /// [`PairBinder`] (merged over `base`, projected onto `metas`), each
+    /// block is evaluated through the batch kernels (which fan a block
+    /// across cores), and `f` receives every scenario as a [`FoldItem`]
+    /// borrowing the reused block buffers; peak transient memory is
+    /// O(block × row) regardless of the set's cardinality.
     ///
-    /// # Panics
-    /// Panics if the two programs' polynomial counts differ, or under the
-    /// [`PairBinder`] totality rules (grids need a total `base`).
-    pub fn sweep_fold<A>(
-        &self,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, Rat>) -> A,
-    ) -> A {
-        match self.sweep_fold_budgeted(metas, base, set, &SweepBudget::unlimited(), init, f) {
-            Ok(outcome) => outcome.into_fold(),
-            Err(_) => unreachable!("unlimited budgets cannot fail"),
-        }
-    }
-
-    /// [`sweep_fold`](Self::sweep_fold) under a [`SweepBudget`]: the
-    /// budget's dynamic limits (deadline, token) are polled at **block
-    /// granularity** and a scenario cap deterministically clamps the swept
-    /// range, so an exhausted budget returns
+    /// `engines` is what `P` evaluates through besides this exact pair,
+    /// and the sweep returns `P::Report` next to the fold — see
+    /// [`Precision`]. `budget` is polled at **block granularity**
+    /// (deadline, token) and its scenario cap deterministically clamps
+    /// the swept range, so an exhausted budget returns
     /// [`SweepOutcome::Partial`] — the exact fold over the scenario
-    /// prefix completed, never a torn or approximate state. An unlimited
-    /// budget adds one branch per ~10³-scenario block to the hot loop.
+    /// prefix completed, never a torn state, with the report covering
+    /// exactly that prefix. [`SweepBudget::unlimited`] runs to completion
+    /// at one branch per ~10³-scenario block.
     ///
     /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// when the budget is statically unsatisfiable (scenario cap 0 over a
-    /// non-empty set).
+    /// [`CoreError::InfeasibleBudget`] when the budget is statically
+    /// unsatisfiable (scenario cap 0 over a non-empty set).
     ///
     /// # Panics
-    /// Same conditions as [`sweep_fold`](Self::sweep_fold).
-    pub fn sweep_fold_budgeted<A>(
-        &self,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
+    /// Panics if the two programs' polynomial counts differ, if the
+    /// shapes of `engines` do not mirror the exact programs, under the
+    /// [`PairBinder`] totality rules (grids need a total `base`), or when
+    /// exact arithmetic overflows `i128` (the session entries turn that
+    /// into [`CoreError::ExactOverflow`]).
+    pub fn fold<'a, P: Precision, A>(
+        &'a self,
+        engines: P::Engines<'a>,
+        (metas, base): (&'a [MetaVar], &'a Valuation<Rat>),
+        set: &'a ScenarioSet,
+        budget: &'a SweepBudget,
         init: A,
-        mut f: impl FnMut(A, FoldItem<'_, Rat>) -> A,
-    ) -> Result<SweepOutcome<A>> {
-        let n = set.len();
-        budget.validate(n)?;
-        let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-        let np = self.full.program().num_polys();
-        assert_eq!(
-            np,
-            self.compressed.program().num_polys(),
-            "polynomial sets must align"
-        );
-        let mut binder = PairBinder::new(self, metas, base, set);
-        let locals = self
-            .full
-            .program()
-            .num_locals()
-            .max(self.compressed.program().num_locals());
-        let block = stream_block(np, locals).min(n_target.max(1));
-        let mut full_rows: Vec<Vec<Rat>> = (0..block)
-            .map(|_| vec![Rat::ZERO; self.full.program().num_locals()])
-            .collect();
-        let mut comp_rows: Vec<Vec<Rat>> = (0..block)
-            .map(|_| vec![Rat::ZERO; self.compressed.program().num_locals()])
-            .collect();
-        let mut full_out = vec![Rat::ZERO; block * np];
-        let mut comp_out = vec![Rat::ZERO; block * np];
-        let check = budget.has_dynamic_limits();
-        let mut acc = init;
-        let mut start = 0;
-        let mut stop = None;
-        while start < n_target {
-            faults::point(faults::Site::Block);
-            if check {
-                if let Some(reason) = budget.stop_reason() {
-                    stop = Some(reason);
-                    break;
-                }
-            }
-            let width = block.min(n_target - start);
-            for k in 0..width {
-                let (frow, crow) = (&mut full_rows[k], &mut comp_rows[k]);
-                // split borrows: binder needs &mut self for its scratch
-                binder.bind_pair_into(start + k, frow, crow);
-            }
-            self.full
-                .eval_batch_exact_into(&full_rows[..width], &mut full_out[..width * np]);
-            self.compressed
-                .eval_batch_exact_into(&comp_rows[..width], &mut comp_out[..width * np]);
-            for k in 0..width {
-                acc = f(
-                    acc,
-                    FoldItem {
-                        scenario: start + k,
-                        full: &full_out[k * np..(k + 1) * np],
-                        compressed: &comp_out[k * np..(k + 1) * np],
-                    },
-                );
-            }
-            start += width;
-        }
-        Ok(outcome_for(acc, start, n, n_target, stop))
+        f: impl FnMut(A, FoldItem<'_, P::Num>) -> A,
+    ) -> Result<(SweepOutcome<A>, P::Report)> {
+        budget.validate(set.len())?;
+        self.assert_aligned();
+        P::check(self, engines);
+        let plan = driver::Plan::<P>::new(self, engines, (metas, base), set, budget);
+        Ok(driver::ordered(plan, init, f))
     }
 
-    /// [`sweep_fold`](Self::sweep_fold) with **binding and evaluation
-    /// fanned across cores**: the scenario range is split into contiguous
-    /// per-worker spans ([`cobra_util::par::par_owned_spans`]), each
-    /// worker owns its own [`PairBinder`], batch buffers and a fold
-    /// replica ([`MergeFold::init`]), and the partial accumulators merge
-    /// back in ascending span order ([`MergeFold::merge`]). The sequential
-    /// fold engine streams blocks one at a time — only each block's
-    /// *evaluation* used the cores, while binding (the dominant cost for
-    /// compressed programs) ran on one thread; here whole spans bind and
-    /// evaluate concurrently, lifting that bottleneck at 10⁷⁺ scenarios.
+    /// The **mergeable** fold entry: [`fold`](Self::fold) with binding
+    /// and evaluation fanned across cores. The scenario range is split
+    /// into contiguous per-worker spans
+    /// ([`cobra_util::par::try_par_owned_spans`]); each worker owns a
+    /// [`PairBinder`], block buffers, kernel scratch and a replica of
+    /// `fold` ([`MergeFold::init`]), polls `budget` between its blocks,
+    /// and the partial accumulators and reports merge back in ascending
+    /// span order ([`MergeFold::merge`]).
     ///
-    /// Results are **bit-identical** to
-    /// [`sweep_fold`](Self::sweep_fold)`(…, fold, folds::step)` at any
-    /// thread count (`COBRA_THREADS` or
-    /// [`cobra_util::par::with_threads`]): workers
-    /// accept disjoint ascending spans, evaluation is per-scenario
+    /// Fold state and `P::Report` are **bit-identical** to
+    /// [`fold`](Self::fold)`(…, fold, folds::step)` under the same budget
+    /// at any thread count (`COBRA_THREADS` or
+    /// [`cobra_util::par::with_threads`]; one thread runs inline),
+    /// [`SweepOutcome::Partial`] prefixes included: workers accept
+    /// disjoint ascending spans, evaluation is per-scenario
     /// deterministic, and the [`MergeFold`] laws make the ordered merge
     /// equal to one sequential pass.
     ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold`](Self::sweep_fold).
-    pub fn sweep_fold_par<F: MergeFold + Send + Sync>(
-        &self,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        fold: F,
-    ) -> F {
-        match self.sweep_fold_par_impl(metas, base, set, &SweepBudget::unlimited(), fold) {
-            Ok(outcome) => outcome.into_fold(),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// [`sweep_fold_par`](Self::sweep_fold_par) under a [`SweepBudget`],
-    /// with worker faults isolated: every worker polls the budget at
-    /// block granularity, an interrupted sweep merges the completed span
-    /// prefixes into a [`SweepOutcome::Partial`] **bit-identical to a
-    /// sequential fold over the same prefix**, and a panicking worker is
-    /// caught at its span boundary (sibling workers are cancelled) and
-    /// surfaced as
-    /// [`CoreError::WorkerPanicked`](crate::error::CoreError::WorkerPanicked)
-    /// instead of aborting the process.
-    ///
     /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// for statically unsatisfiable budgets;
-    /// [`CoreError::WorkerPanicked`](crate::error::CoreError::WorkerPanicked)
-    /// when a worker panicked (the process and the engines stay usable).
+    /// [`CoreError::InfeasibleBudget`] for statically unsatisfiable
+    /// budgets; [`CoreError::WorkerPanicked`] when a worker panicked — it
+    /// is caught at its span boundary, its siblings are cancelled, and
+    /// the process and the engines stay usable.
     ///
     /// # Panics
-    /// Same binder/shape conditions as [`sweep_fold`](Self::sweep_fold).
-    pub fn sweep_fold_par_budgeted<F: MergeFold + Send + Sync>(
-        &self,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
+    /// Same shape and binder conditions as [`fold`](Self::fold).
+    pub fn fold_par<'a, P: Precision, F: MergeFold + Send + Sync>(
+        &'a self,
+        engines: P::Engines<'a>,
+        (metas, base): (&'a [MetaVar], &'a Valuation<Rat>),
+        set: &'a ScenarioSet,
+        budget: &'a SweepBudget,
         fold: F,
-    ) -> Result<SweepOutcome<F>> {
+    ) -> Result<(SweepOutcome<F>, P::Report)> {
         budget.validate(set.len())?;
-        self.sweep_fold_par_impl(metas, base, set, budget, fold)
-            .map_err(|payload| crate::error::CoreError::WorkerPanicked(par::panic_message(&payload)))
+        self.assert_aligned();
+        P::check(self, engines);
+        let plan = driver::Plan::<P>::new(self, engines, (metas, base), set, budget);
+        driver::spans(&plan, fold)
+            .map_err(|payload| CoreError::WorkerPanicked(par::panic_message(&payload)))
     }
 
-    fn sweep_fold_par_impl<F: MergeFold + Send + Sync>(
-        &self,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        fold: F,
-    ) -> std::result::Result<SweepOutcome<F>, par::WorkerPanic> {
-        let n = set.len();
-        let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-        let np = self.full.program().num_polys();
+    /// Panics unless both sides answer the same result tuples.
+    fn assert_aligned(&self) {
         assert_eq!(
-            np,
+            self.full.program().num_polys(),
             self.compressed.program().num_polys(),
             "polynomial sets must align"
         );
-        if n_target == 0 {
-            return Ok(outcome_for(fold, 0, n, n_target, None));
+    }
+
+    /// Panics unless the `(full, compressed)` programs `what` names
+    /// mirror this comparison's, output for output and local for local —
+    /// the condition for evaluating them on the scenario rows bound for
+    /// this comparison.
+    fn assert_mirrored_by<C: Coeff>(
+        &self,
+        what: &str,
+        full: &EvalProgram<C>,
+        compressed: &EvalProgram<C>,
+    ) {
+        let sides = [
+            ("full", self.full.program(), full),
+            ("compressed", self.compressed.program(), compressed),
+        ];
+        for (side, exact, twin) in sides {
+            assert_eq!(
+                twin.num_polys(),
+                exact.num_polys(),
+                "{what} must mirror the {side} program's outputs"
+            );
+            assert_eq!(
+                twin.num_locals(),
+                exact.num_locals(),
+                "{what} must share the {side} program's local layout"
+            );
         }
-        let locals = self
-            .full
-            .program()
-            .num_locals()
-            .max(self.compressed.program().num_locals());
-        let block = stream_block(np, locals).min(n_target);
-        let check = budget.has_dynamic_limits();
-        // Kernel overrides are thread-local: resolve the exact-path choice
-        // here on the calling thread and hand it to every worker.
-        let use_fixed = kernel::exact_fixed_enabled();
-        let abort = CancelToken::new();
-        let partials = par::try_par_owned_spans(
-            n_target,
-            1,
-            &abort,
-            || {
-                let full_rows: Vec<Vec<Rat>> = (0..block)
-                    .map(|_| vec![Rat::ZERO; self.full.program().num_locals()])
-                    .collect();
-                let comp_rows: Vec<Vec<Rat>> = (0..block)
-                    .map(|_| vec![Rat::ZERO; self.compressed.program().num_locals()])
-                    .collect();
-                (
-                    PairBinder::new(self, metas, base, set),
-                    full_rows,
-                    comp_rows,
-                    vec![Rat::ZERO; block * np],
-                    vec![Rat::ZERO; block * np],
-                    fold.init(),
-                    SpanProgress::default(),
-                    FixedScratch::new(),
-                )
-            },
-            |state, range| {
-                let (binder, full_rows, comp_rows, full_out, comp_out, f, span, scratch) = state;
-                *span = SpanProgress::begin(&range);
-                let mut start = range.start;
-                while start < range.end {
-                    faults::point(faults::Site::Block);
-                    if abort.is_cancelled() {
-                        span.reason = Some(StopReason::Cancelled);
-                        break;
-                    }
-                    if check {
-                        if let Some(reason) = budget.stop_reason() {
-                            span.reason = Some(reason);
-                            break;
-                        }
-                    }
-                    let width = block.min(range.end - start);
-                    for k in 0..width {
-                        binder.bind_pair_into(start + k, &mut full_rows[k], &mut comp_rows[k]);
-                    }
-                    self.full.eval_batch_exact_serial_with(
-                        use_fixed,
-                        &full_rows[..width],
-                        &mut full_out[..width * np],
-                        scratch,
-                    );
-                    self.compressed.eval_batch_exact_serial_with(
-                        use_fixed,
-                        &comp_rows[..width],
-                        &mut comp_out[..width * np],
-                        scratch,
-                    );
-                    for k in 0..width {
-                        f.accept(FoldItem {
-                            scenario: start + k,
-                            full: &full_out[k * np..(k + 1) * np],
-                            compressed: &comp_out[k * np..(k + 1) * np],
-                        });
-                    }
-                    start += width;
-                    span.done = start;
-                }
-            },
-        )?;
-        let mut fold = fold;
-        let (done, stop) = merge_span_prefix(
-            partials.into_iter().map(|p| (p.6, p.5)).collect(),
-            |partial| fold.merge(partial),
-        );
-        Ok(outcome_for(fold, done, n, n_target, stop))
-    }
-
-    /// [`sweep_fold`](Self::sweep_fold) on the approximate `f64` fast
-    /// path: scenarios are bound directly as `f64` rows
-    /// ([`PairBinder::bind_pair_into_f64`]) and each block is evaluated
-    /// through the lane kernel
-    /// ([`BatchEvaluator::eval_batch_fast_into`]), so large grids
-    /// aggregate at the lane-kernel per-scenario cost instead of exact
-    /// `Rat` arithmetic. Up to [`F64_PROBES`] evenly spaced scenarios are
-    /// additionally re-evaluated on the exact engines; the returned
-    /// [`F64Divergence`] records the largest observed deviation.
-    ///
-    /// `shadows` is the `(full, compressed)` pair of `f64` shadow engines
-    /// of this comparison's exact programs
-    /// ([`EvalProgram::to_f64_program`] preserves the variable numbering,
-    /// so the rows bind directly).
-    ///
-    /// # Panics
-    /// Panics if the shadow programs' shapes do not match the exact ones,
-    /// or under the [`PairBinder`] totality rules.
-    pub fn sweep_fold_f64<A>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> (A, F64Divergence) {
-        match self.sweep_fold_f64_impl(shadows, None, metas, base, set, &SweepBudget::unlimited(), init, f)
-        {
-            Ok((outcome, divergence, _)) => (outcome.into_fold(), divergence),
-            Err(_) => unreachable!("unlimited budgets cannot fail"),
-        }
-    }
-
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) under a [`SweepBudget`]:
-    /// the fast path's sibling of
-    /// [`sweep_fold_budgeted`](Self::sweep_fold_budgeted). The divergence
-    /// record of a [`SweepOutcome::Partial`] covers exactly the probe
-    /// scenarios inside the completed prefix.
-    ///
-    /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// when the budget is statically unsatisfiable.
-    ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold_f64`](Self::sweep_fold_f64).
-    #[allow(clippy::too_many_arguments)] // low-level engine surface; the session wraps it
-    pub fn sweep_fold_f64_budgeted<A>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(SweepOutcome<A>, F64Divergence)> {
-        budget.validate(set.len())?;
-        let (outcome, divergence, _) =
-            self.sweep_fold_f64_impl(shadows, None, metas, base, set, budget, init, f)?;
-        Ok((outcome, divergence))
-    }
-
-    /// [`sweep_fold_f64_budgeted`](Self::sweep_fold_f64_budgeted) with a
-    /// **sound rounding certificate** instead of the sampled divergence
-    /// probe: the [`ErrorShadow`]'s absolute-value twin programs are
-    /// evaluated alongside every block (≈2× kernel cost) and the returned
-    /// [`F64ErrorBound`] bounds the rounding error of *every* folded
-    /// scenario a priori — see [`F64ErrorBound`] for the exact contract.
-    ///
-    /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// when the budget is statically unsatisfiable.
-    ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold_f64`](Self::sweep_fold_f64), plus
-    /// a shape mismatch between `err` and the shadow engines.
-    #[allow(clippy::too_many_arguments)] // low-level engine surface; the session wraps it
-    pub fn sweep_fold_f64_bounded<A>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        err: &ErrorShadow,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(SweepOutcome<A>, F64ErrorBound)> {
-        budget.validate(set.len())?;
-        let (outcome, _, bound) =
-            self.sweep_fold_f64_impl(shadows, Some(err), metas, base, set, budget, init, f)?;
-        Ok((outcome, bound))
-    }
-
-    /// The one sequential `f64` engine behind the plain, budgeted and
-    /// bounded surfaces. With an [`ErrorShadow`] the Higham certificate
-    /// replaces the divergence probes (and vice versa), so each surface
-    /// pays only for what it reports.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_fold_f64_impl<A>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        err: Option<&ErrorShadow>,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        init: A,
-        mut f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(SweepOutcome<A>, F64Divergence, F64ErrorBound)> {
-        let (full64, comp64) = shadows;
-        let n = set.len();
-        let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-        let np = self.full.program().num_polys();
-        self.assert_f64_shadows(full64, comp64);
-        let mut binder = PairBinder::new(self, metas, base, set);
-        let locals = self
-            .full
-            .program()
-            .num_locals()
-            .max(self.compressed.program().num_locals());
-        let block = stream_block(np, locals).min(n_target.max(1));
-        let mut full_rows: Vec<Vec<f64>> = (0..block)
-            .map(|_| vec![0.0; self.full.program().num_locals()])
-            .collect();
-        let mut comp_rows: Vec<Vec<f64>> = (0..block)
-            .map(|_| vec![0.0; self.compressed.program().num_locals()])
-            .collect();
-        let mut full_out = vec![0.0f64; block * np];
-        let mut comp_out = vec![0.0f64; block * np];
-
-        // Evenly spaced probe indices, deduplicated (n may be < F64_PROBES);
-        // the bounded path certifies every scenario instead of sampling.
-        let probes = if err.is_some() {
-            Vec::new()
-        } else {
-            f64_probe_indices(n)
-        };
-        let mut next_probe = 0usize;
-        let mut divergence = F64Divergence::default();
-        // Probes evaluate the armed twins (flat originals in DAG mode) so
-        // they stay fixed-point eligible — see `probe_programs`.
-        let (probe_full, probe_comp) = self.probe_programs();
-        let mut probe_full_row = vec![Rat::ZERO; probe_full.num_locals()];
-        let mut probe_comp_row = vec![Rat::ZERO; probe_comp.num_locals()];
-        let mut probe_out = vec![Rat::ZERO; np];
-        // Probes follow the exact-kernel dispatch too: at full provenance
-        // scale a plain `Rat` walk per probe would dwarf the whole `f64`
-        // sweep it is spot-checking.
-        let probe_fixed = kernel::exact_fixed_enabled();
-        let mut probe_scratch = FixedScratch::new();
-
-        // Higham-shadow buffers (unused, empty when no shadow is given).
-        let mut bound = F64ErrorBound::default();
-        let mut abs_rows: Vec<Vec<f64>> = Vec::new();
-        let mut abs_comp_rows: Vec<Vec<f64>> = Vec::new();
-        let mut abs_full_out = Vec::new();
-        let mut abs_comp_out = Vec::new();
-        if err.is_some() {
-            abs_rows = (0..block)
-                .map(|_| vec![0.0; self.full.program().num_locals()])
-                .collect();
-            abs_comp_rows = (0..block)
-                .map(|_| vec![0.0; self.compressed.program().num_locals()])
-                .collect();
-            abs_full_out = vec![0.0f64; block * np];
-            abs_comp_out = vec![0.0f64; block * np];
-        }
-
-        let check = budget.has_dynamic_limits();
-        let mut acc = init;
-        let mut start = 0;
-        let mut stop = None;
-        while start < n_target {
-            faults::point(faults::Site::Block);
-            if check {
-                if let Some(reason) = budget.stop_reason() {
-                    stop = Some(reason);
-                    break;
-                }
-            }
-            let width = block.min(n_target - start);
-            for k in 0..width {
-                let (frow, crow) = (&mut full_rows[k], &mut comp_rows[k]);
-                binder.bind_pair_into_f64(start + k, frow, crow);
-            }
-            full64.eval_batch_fast_into(&full_rows[..width], &mut full_out[..width * np]);
-            comp64.eval_batch_fast_into(&comp_rows[..width], &mut comp_out[..width * np]);
-            if let Some(err) = err {
-                for k in 0..width {
-                    for (a, &x) in abs_rows[k].iter_mut().zip(&full_rows[k]) {
-                        *a = x.abs();
-                    }
-                    for (a, &x) in abs_comp_rows[k].iter_mut().zip(&comp_rows[k]) {
-                        *a = x.abs();
-                    }
-                }
-                err.full_abs
-                    .eval_batch_fast_into(&abs_rows[..width], &mut abs_full_out[..width * np]);
-                err.comp_abs
-                    .eval_batch_fast_into(&abs_comp_rows[..width], &mut abs_comp_out[..width * np]);
-            }
-            for k in 0..width {
-                let i = start + k;
-                let full = &full_out[k * np..(k + 1) * np];
-                let compressed = &comp_out[k * np..(k + 1) * np];
-                if next_probe < probes.len() && probes[next_probe] == i {
-                    next_probe += 1;
-                    divergence.probed += 1;
-                    binder.bind_pair_into(i, &mut probe_full_row, &mut probe_comp_row);
-                    probe_full.eval_scenario_exact_with(
-                        probe_fixed,
-                        &probe_full_row,
-                        &mut probe_out,
-                        &mut probe_scratch,
-                    );
-                    divergence.record(&probe_out, full);
-                    probe_comp.eval_scenario_exact_with(
-                        probe_fixed,
-                        &probe_comp_row,
-                        &mut probe_out,
-                        &mut probe_scratch,
-                    );
-                    divergence.record(&probe_out, compressed);
-                }
-                if let Some(err) = err {
-                    err.record(
-                        &mut bound,
-                        i,
-                        full,
-                        compressed,
-                        &abs_full_out[k * np..(k + 1) * np],
-                        &abs_comp_out[k * np..(k + 1) * np],
-                    );
-                }
-                acc = f(
-                    acc,
-                    FoldItem {
-                        scenario: i,
-                        full,
-                        compressed,
-                    },
-                );
-            }
-            start += width;
-        }
-        Ok((outcome_for(acc, start, n, n_target, stop), divergence, bound))
-    }
-
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) with binding, lane-kernel
-    /// evaluation **and** the divergence probes fanned across cores — the
-    /// parallel sibling pairing [`sweep_fold_par`](Self::sweep_fold_par)
-    /// with the `f64` fast path. Each worker owns a [`PairBinder`], `f64`
-    /// row/result buffers, one [`LaneScratch`] (reused across all of its
-    /// blocks) and a fold replica; workers re-evaluate exactly the probe
-    /// scenarios falling inside their own spans, so the merged
-    /// [`F64Divergence`] covers the same probes as the sequential engine.
-    ///
-    /// Per scenario the lane kernel performs the same multiply/add
-    /// sequence regardless of blocking or worker, so the fold output and
-    /// the divergence record are bit-identical to
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) at any thread count.
-    ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold_f64`](Self::sweep_fold_f64).
-    pub fn sweep_fold_f64_par<F: MergeFold + Send + Sync>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        fold: F,
-    ) -> (F, F64Divergence) {
-        match self.sweep_fold_f64_par_impl(shadows, None, metas, base, set, &SweepBudget::unlimited(), fold)
-        {
-            Ok((outcome, divergence, _)) => (outcome.into_fold(), divergence),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// [`sweep_fold_f64_par`](Self::sweep_fold_f64_par) under a
-    /// [`SweepBudget`] with worker faults isolated — the fast path's
-    /// sibling of
-    /// [`sweep_fold_par_budgeted`](Self::sweep_fold_par_budgeted). A
-    /// partial outcome's divergence record covers exactly the probes
-    /// inside the completed prefix.
-    ///
-    /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// for statically unsatisfiable budgets;
-    /// [`CoreError::WorkerPanicked`](crate::error::CoreError::WorkerPanicked)
-    /// when a worker panicked (the process and the engines stay usable).
-    ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold_f64`](Self::sweep_fold_f64).
-    pub fn sweep_fold_f64_par_budgeted<F: MergeFold + Send + Sync>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        fold: F,
-    ) -> Result<(SweepOutcome<F>, F64Divergence)> {
-        budget.validate(set.len())?;
-        let (outcome, divergence, _) = self
-            .sweep_fold_f64_par_impl(shadows, None, metas, base, set, budget, fold)
-            .map_err(|payload| {
-                crate::error::CoreError::WorkerPanicked(par::panic_message(&payload))
-            })?;
-        Ok((outcome, divergence))
-    }
-
-    /// [`sweep_fold_f64_bounded`](Self::sweep_fold_f64_bounded) fanned
-    /// across cores: every worker evaluates the [`ErrorShadow`] alongside
-    /// its own spans, and the certificates merge in span order, so both
-    /// the fold and the [`F64ErrorBound`] are bit-identical to the
-    /// sequential bounded engine at any thread count.
-    ///
-    /// # Errors
-    /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-    /// for statically unsatisfiable budgets;
-    /// [`CoreError::WorkerPanicked`](crate::error::CoreError::WorkerPanicked)
-    /// when a worker panicked (the process and the engines stay usable).
-    ///
-    /// # Panics
-    /// Same conditions as [`sweep_fold_f64`](Self::sweep_fold_f64).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_fold_f64_bounded_par<F: MergeFold + Send + Sync>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        err: &ErrorShadow,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        fold: F,
-    ) -> Result<(SweepOutcome<F>, F64ErrorBound)> {
-        budget.validate(set.len())?;
-        let (outcome, _, bound) = self
-            .sweep_fold_f64_par_impl(shadows, Some(err), metas, base, set, budget, fold)
-            .map_err(|payload| {
-                crate::error::CoreError::WorkerPanicked(par::panic_message(&payload))
-            })?;
-        Ok((outcome, bound))
-    }
-
-    /// The one parallel `f64` engine behind the plain, budgeted and
-    /// bounded surfaces (see
-    /// [`sweep_fold_f64_impl`](Self::sweep_fold_f64_impl) for the
-    /// probe-vs-certificate split).
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_fold_f64_par_impl<F: MergeFold + Send + Sync>(
-        &self,
-        shadows: (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
-        err: Option<&ErrorShadow>,
-        metas: &[MetaVar],
-        base: &Valuation<Rat>,
-        set: &ScenarioSet,
-        budget: &SweepBudget,
-        fold: F,
-    ) -> std::result::Result<(SweepOutcome<F>, F64Divergence, F64ErrorBound), par::WorkerPanic>
-    {
-        let (full64, comp64) = shadows;
-        let n = set.len();
-        let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-        let np = self.full.program().num_polys();
-        self.assert_f64_shadows(full64, comp64);
-        if n_target == 0 {
-            return Ok((
-                outcome_for(fold, 0, n, n_target, None),
-                F64Divergence::default(),
-                F64ErrorBound::default(),
-            ));
-        }
-        let locals = self
-            .full
-            .program()
-            .num_locals()
-            .max(self.compressed.program().num_locals());
-        let block = stream_block(np, locals).min(n_target);
-        let probes = if err.is_some() {
-            Vec::new()
-        } else {
-            f64_probe_indices(n)
-        };
-        let check = budget.has_dynamic_limits();
-        // Kernel overrides are thread-local: resolve the lane-kernel
-        // choice (and the exact-kernel choice the divergence probes
-        // follow) here on the calling thread and hand it to every worker.
-        let kern = kernel::current();
-        let probe_fixed = kernel::exact_fixed_enabled();
-        // Probes evaluate the armed twins (flat originals in DAG mode) so
-        // they stay fixed-point eligible — see `probe_programs`.
-        let (probe_full, probe_comp) = self.probe_programs();
-        let abort = CancelToken::new();
-
-        struct Worker<'a, F> {
-            binder: PairBinder<'a>,
-            full_rows: Vec<Vec<f64>>,
-            comp_rows: Vec<Vec<f64>>,
-            full_out: Vec<f64>,
-            comp_out: Vec<f64>,
-            scratch: LaneScratch,
-            probe_full_row: Vec<Rat>,
-            probe_comp_row: Vec<Rat>,
-            probe_out: Vec<Rat>,
-            probe_scratch: FixedScratch,
-            divergence: F64Divergence,
-            abs_rows: Vec<Vec<f64>>,
-            abs_comp_rows: Vec<Vec<f64>>,
-            abs_full_out: Vec<f64>,
-            abs_comp_out: Vec<f64>,
-            bound: F64ErrorBound,
-            fold: F,
-            span: SpanProgress,
-        }
-
-        let partials = par::try_par_owned_spans(
-            n_target,
-            1,
-            &abort,
-            || Worker {
-                binder: PairBinder::new(self, metas, base, set),
-                full_rows: (0..block)
-                    .map(|_| vec![0.0f64; self.full.program().num_locals()])
-                    .collect(),
-                comp_rows: (0..block)
-                    .map(|_| vec![0.0f64; self.compressed.program().num_locals()])
-                    .collect(),
-                full_out: vec![0.0f64; block * np],
-                comp_out: vec![0.0f64; block * np],
-                scratch: LaneScratch::new(),
-                probe_full_row: vec![Rat::ZERO; probe_full.num_locals()],
-                probe_comp_row: vec![Rat::ZERO; probe_comp.num_locals()],
-                probe_out: vec![Rat::ZERO; np],
-                probe_scratch: FixedScratch::new(),
-                divergence: F64Divergence::default(),
-                abs_rows: if err.is_some() {
-                    (0..block)
-                        .map(|_| vec![0.0f64; self.full.program().num_locals()])
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                abs_comp_rows: if err.is_some() {
-                    (0..block)
-                        .map(|_| vec![0.0f64; self.compressed.program().num_locals()])
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                abs_full_out: if err.is_some() {
-                    vec![0.0f64; block * np]
-                } else {
-                    Vec::new()
-                },
-                abs_comp_out: if err.is_some() {
-                    vec![0.0f64; block * np]
-                } else {
-                    Vec::new()
-                },
-                bound: F64ErrorBound::default(),
-                fold: fold.init(),
-                span: SpanProgress::default(),
-            },
-            |w, range| {
-                w.span = SpanProgress::begin(&range);
-                // First probe index at or past this span's start.
-                let mut next_probe = probes.partition_point(|&p| p < range.start);
-                let mut start = range.start;
-                while start < range.end {
-                    faults::point(faults::Site::Block);
-                    if abort.is_cancelled() {
-                        w.span.reason = Some(StopReason::Cancelled);
-                        break;
-                    }
-                    if check {
-                        if let Some(reason) = budget.stop_reason() {
-                            w.span.reason = Some(reason);
-                            break;
-                        }
-                    }
-                    let width = block.min(range.end - start);
-                    for k in 0..width {
-                        w.binder.bind_pair_into_f64(
-                            start + k,
-                            &mut w.full_rows[k],
-                            &mut w.comp_rows[k],
-                        );
-                    }
-                    full64.eval_batch_fast_serial_with(
-                        kern,
-                        &w.full_rows[..width],
-                        &mut w.full_out[..width * np],
-                        &mut w.scratch,
-                    );
-                    comp64.eval_batch_fast_serial_with(
-                        kern,
-                        &w.comp_rows[..width],
-                        &mut w.comp_out[..width * np],
-                        &mut w.scratch,
-                    );
-                    if let Some(err) = err {
-                        for k in 0..width {
-                            for (a, &x) in w.abs_rows[k].iter_mut().zip(&w.full_rows[k]) {
-                                *a = x.abs();
-                            }
-                            for (a, &x) in w.abs_comp_rows[k].iter_mut().zip(&w.comp_rows[k]) {
-                                *a = x.abs();
-                            }
-                        }
-                        err.full_abs.eval_batch_fast_serial_with(
-                            kern,
-                            &w.abs_rows[..width],
-                            &mut w.abs_full_out[..width * np],
-                            &mut w.scratch,
-                        );
-                        err.comp_abs.eval_batch_fast_serial_with(
-                            kern,
-                            &w.abs_comp_rows[..width],
-                            &mut w.abs_comp_out[..width * np],
-                            &mut w.scratch,
-                        );
-                    }
-                    for k in 0..width {
-                        let i = start + k;
-                        let full = &w.full_out[k * np..(k + 1) * np];
-                        let compressed = &w.comp_out[k * np..(k + 1) * np];
-                        if next_probe < probes.len() && probes[next_probe] == i {
-                            next_probe += 1;
-                            w.divergence.probed += 1;
-                            w.binder.bind_pair_into(
-                                i,
-                                &mut w.probe_full_row,
-                                &mut w.probe_comp_row,
-                            );
-                            probe_full.eval_scenario_exact_with(
-                                probe_fixed,
-                                &w.probe_full_row,
-                                &mut w.probe_out,
-                                &mut w.probe_scratch,
-                            );
-                            w.divergence.record(&w.probe_out, full);
-                            probe_comp.eval_scenario_exact_with(
-                                probe_fixed,
-                                &w.probe_comp_row,
-                                &mut w.probe_out,
-                                &mut w.probe_scratch,
-                            );
-                            w.divergence.record(&w.probe_out, compressed);
-                        }
-                        if let Some(err) = err {
-                            err.record(
-                                &mut w.bound,
-                                i,
-                                full,
-                                compressed,
-                                &w.abs_full_out[k * np..(k + 1) * np],
-                                &w.abs_comp_out[k * np..(k + 1) * np],
-                            );
-                        }
-                        w.fold.accept(FoldItem {
-                            scenario: i,
-                            full,
-                            compressed,
-                        });
-                    }
-                    start += width;
-                    w.span.done = start;
-                }
-            },
-        )?;
-        let mut fold = fold;
-        let mut divergence = F64Divergence::default();
-        let mut bound = F64ErrorBound::default();
-        let (done, stop) = merge_span_prefix(
-            partials
-                .into_iter()
-                .map(|w| (w.span, (w.fold, w.divergence, w.bound)))
-                .collect(),
-            |(f, d, b)| {
-                fold.merge(f);
-                divergence.merge(d);
-                bound.merge(b);
-            },
-        );
-        Ok((outcome_for(fold, done, n, n_target, stop), divergence, bound))
-    }
-
-    /// Shared shape checks for the `f64` shadow engines.
-    fn assert_f64_shadows(&self, full64: &BatchEvaluator<f64>, comp64: &BatchEvaluator<f64>) {
-        let np = self.full.program().num_polys();
-        assert_eq!(
-            np,
-            self.compressed.program().num_polys(),
-            "polynomial sets must align"
-        );
-        assert_eq!(
-            full64.program().num_polys(),
-            np,
-            "f64 shadow must mirror the exact full program"
-        );
-        assert_eq!(
-            full64.program().num_locals(),
-            self.full.program().num_locals(),
-            "f64 shadow must share the full program's variable numbering"
-        );
-        assert_eq!(
-            comp64.program().num_polys(),
-            np,
-            "f64 shadow must mirror the exact compressed program"
-        );
-        assert_eq!(
-            comp64.program().num_locals(),
-            self.compressed.program().num_locals(),
-            "f64 shadow must share the compressed program's variable numbering"
-        );
     }
 
     /// Projects and binds every scenario of `set` into materialized
@@ -1562,246 +711,582 @@ impl F64ScenarioSweep {
     }
 }
 
-/// Evaluates the scenarios of `scenarios` (leaf-level, merged over `base`)
-/// on both the full and the compressed provenance through the compiled
-/// batch engine. Each scenario is projected onto the meta-variables by
-/// group averaging, exactly like
-/// [`CobraSession::assign`](crate::session::CobraSession::assign). Accepts
-/// anything convertible to a [`ScenarioSet`] — grids stream through the
-/// engine without materializing per-scenario valuations.
-///
-/// # Panics
-/// Panics if some scenario (merged over `base`) does not cover a variable —
-/// give `base` a default, as assignment screens always do. Grid and
-/// perturbation sets additionally require `base` itself to be total.
-pub fn sweep_full_vs_compressed(
-    engines: &CompiledComparison,
-    metas: &[MetaVar],
-    base: &Valuation<Rat>,
-    scenarios: impl Into<ScenarioSet>,
-) -> ScenarioSweep {
-    engines.sweep(metas, base, &scenarios.into())
-}
-
-/// Streams every scenario of `set` through a **single** compiled exact
-/// engine and folds the per-scenario result rows — the one-sided sibling
-/// of [`CompiledComparison::sweep_fold`] for consumers that evaluate one
-/// polynomial set without a full/compressed pair
+/// The one-sided sibling of [`CompiledComparison::fold_par`]: streams
+/// every scenario of `set` through a **single** compiled exact engine,
+/// fanned across cores, for consumers that evaluate one polynomial set
+/// without a full/compressed pair
 /// ([`sensitivity::scenario_impacts`](crate::sensitivity::scenario_impacts)
-/// ranks grid points through it). Scenarios are bound allocation-free by
-/// [`RowBinder`] and evaluated in blocks; `f` receives
-/// `(accumulator, scenario index, results)` in enumeration order, with
-/// the result slice borrowing the block buffer.
-///
-/// # Panics
-/// Panics if `base` is not total over the program (give it a default).
-pub fn fold_program_sweep<A>(
-    evaluator: &BatchEvaluator<Rat>,
-    base: &Valuation<Rat>,
-    set: &ScenarioSet,
-    init: A,
-    f: impl FnMut(A, usize, &[Rat]) -> A,
-) -> A {
-    match fold_program_sweep_budgeted(evaluator, base, set, &SweepBudget::unlimited(), init, f) {
-        Ok(outcome) => outcome.into_fold(),
-        Err(_) => unreachable!("unlimited budgets cannot fail"),
-    }
-}
-
-/// [`fold_program_sweep`] under a [`SweepBudget`] — the single-engine
-/// sibling of
-/// [`CompiledComparison::sweep_fold_budgeted`]: dynamic limits are polled
-/// per block, a scenario cap clamps the swept range deterministically,
-/// and an exhausted budget returns the exact fold over the completed
-/// prefix as [`SweepOutcome::Partial`].
-///
-/// # Errors
-/// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-/// when the budget is statically unsatisfiable.
-///
-/// # Panics
-/// Panics if `base` is not total over the program (give it a default).
-pub fn fold_program_sweep_budgeted<A>(
-    evaluator: &BatchEvaluator<Rat>,
-    base: &Valuation<Rat>,
-    set: &ScenarioSet,
-    budget: &SweepBudget,
-    init: A,
-    mut f: impl FnMut(A, usize, &[Rat]) -> A,
-) -> Result<SweepOutcome<A>> {
-    let prog = evaluator.program();
-    let np = prog.num_polys();
-    let n = set.len();
-    budget.validate(n)?;
-    let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-    let binder = RowBinder::new(set, prog, base);
-    let block = stream_block(np, prog.num_locals()).min(n_target.max(1));
-    let mut rows: Vec<Vec<Rat>> = (0..block)
-        .map(|_| vec![Rat::ZERO; prog.num_locals()])
-        .collect();
-    let mut out = vec![Rat::ZERO; block * np];
-    let check = budget.has_dynamic_limits();
-    let mut acc = init;
-    let mut start = 0;
-    let mut stop = None;
-    while start < n_target {
-        faults::point(faults::Site::Block);
-        if check {
-            if let Some(reason) = budget.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-        }
-        let width = block.min(n_target - start);
-        for (k, row) in rows[..width].iter_mut().enumerate() {
-            binder.bind_into(start + k, row);
-        }
-        evaluator.eval_batch_exact_into(&rows[..width], &mut out[..width * np]);
-        for k in 0..width {
-            acc = f(acc, start + k, &out[k * np..(k + 1) * np]);
-        }
-        start += width;
-    }
-    Ok(outcome_for(acc, start, n, n_target, stop))
-}
-
-/// [`fold_program_sweep`] fanned across cores: contiguous scenario
-/// spans are bound and evaluated by worker-owned state (one
-/// [`RowBinder`] + batch buffers + a [`MergeFold`] replica per worker)
-/// and the partial accumulators merge in ascending span order — the
-/// single-engine sibling of
-/// [`CompiledComparison::sweep_fold_par`]. Because there is no
-/// full/compressed pair here, each scenario reaches the fold as a
-/// [`FoldItem`] whose `full` side carries the program's result row and
-/// whose `compressed` side is **empty** — full-side folds
+/// ranks grid points through it). It is the same span driver run over a
+/// comparison whose compressed side is empty, so each [`FoldItem`]
+/// carries the program's result row as `full` and an **empty**
+/// `compressed` — full-side folds
 /// ([`ArgmaxImpact`](crate::folds::ArgmaxImpact),
 /// [`Histogram`](crate::folds::Histogram),
 /// [`TopK`](crate::folds::TopK)) run unchanged, while error folds that
-/// zip both sides see no pairs and stay at their identity.
-///
-/// Results are bit-identical to the sequential [`fold_program_sweep`]
-/// at any thread count.
+/// zip both sides stay at their identity. Results are bit-identical to
+/// evaluating the scenarios one by one, at any thread count.
 ///
 /// # Panics
-/// Panics if `base` is not total over the program (give it a default).
+/// Panics if a scenario merged over `base` is not total over the program
+/// (give `base` a default). A worker panic is resumed on the caller.
 pub fn fold_program_sweep_par<F: MergeFold + Send + Sync>(
     evaluator: &BatchEvaluator<Rat>,
     base: &Valuation<Rat>,
     set: &ScenarioSet,
     fold: F,
 ) -> F {
-    match fold_program_sweep_par_impl(evaluator, base, set, &SweepBudget::unlimited(), fold) {
-        Ok(outcome) => outcome.into_fold(),
+    let one_sided = CompiledComparison::from_engines(
+        evaluator.clone(),
+        BatchEvaluator::compile(&PolySet::default()),
+    );
+    let budget = SweepBudget::unlimited();
+    let plan = driver::Plan::<Exact>::new(&one_sided, (), (&[], base), set, &budget);
+    match driver::spans(&plan, fold) {
+        Ok((outcome, ())) => outcome.into_fold(),
         Err(payload) => resume_unwind(payload),
     }
 }
 
-/// [`fold_program_sweep_par`] under a [`SweepBudget`] with worker faults
-/// isolated — the single-engine sibling of
-/// [`CompiledComparison::sweep_fold_par_budgeted`], with the same partial
-/// bit-identity and panic-surfacing contracts.
+/// The arithmetic a fold sweep runs in — the one axis on which the fold
+/// entries ([`CompiledComparison::fold`] / [`CompiledComparison::fold_par`]
+/// and their [`CobraSession`] twins) are generic. Sealed; the three
+/// precisions are:
 ///
-/// # Errors
-/// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
-/// for statically unsatisfiable budgets;
-/// [`CoreError::WorkerPanicked`](crate::error::CoreError::WorkerPanicked)
-/// when a worker panicked (the process and the evaluator stay usable).
+/// | precision | rows a fold sees | `Engines` | `Report` |
+/// |---|---|---|---|
+/// | [`Exact`] | `Rat`, exact kernels | `()` | `()` |
+/// | [`Approx`] | `f64`, lane kernels | `(full, compressed)` `f64` shadow engines | [`F64Divergence`]: up to [`F64_PROBES`] scenarios re-run exactly |
+/// | [`Certified`] | `f64`, lane kernels | the same pair plus the [`ErrorShadow`] | [`F64ErrorBound`]: a sound bound for every scenario |
 ///
-/// # Panics
-/// Panics if `base` is not total over the program (give it a default).
-pub fn fold_program_sweep_par_budgeted<F: MergeFold + Send + Sync>(
-    evaluator: &BatchEvaluator<Rat>,
-    base: &Valuation<Rat>,
-    set: &ScenarioSet,
-    budget: &SweepBudget,
-    fold: F,
-) -> Result<SweepOutcome<F>> {
-    budget.validate(set.len())?;
-    fold_program_sweep_par_impl(evaluator, base, set, budget, fold)
-        .map_err(|payload| crate::error::CoreError::WorkerPanicked(par::panic_message(&payload)))
+/// The hidden items are the per-block hooks the span driver calls; they
+/// are monomorphised into its one block loop.
+pub trait Precision: driver::Sealed + Sized {
+    /// The number type of the result rows handed to the fold.
+    type Num: Coeff;
+    /// The engines the precision evaluates through besides the exact
+    /// pair of the [`CompiledComparison`].
+    type Engines<'a>: Copy + Send + Sync;
+    /// What the sweep reports about its own accuracy next to the fold,
+    /// covering exactly the scenarios folded.
+    type Report: Default + Send + std::fmt::Debug;
+
+    /// Span-owned kernel scratch, probe/shadow buffers and the report
+    /// accumulator.
+    #[doc(hidden)]
+    type Scratch: Send;
+    /// The cached engines of a session's current selection.
+    #[doc(hidden)]
+    fn session_engines(session: &CobraSession) -> Result<Self::Engines<'_>>;
+    /// Panics unless `engines` mirror the shapes of `cmp`.
+    #[doc(hidden)]
+    fn check(_: &CompiledComparison, _: Self::Engines<'_>) {}
+    #[doc(hidden)]
+    fn scratch(plan: &driver::Plan<'_, Self>) -> Self::Scratch;
+    /// Binds scenario `i` into one row per side.
+    #[doc(hidden)]
+    fn bind(binder: &mut PairBinder<'_>, i: usize, full: &mut [Self::Num], comp: &mut [Self::Num]);
+    /// Evaluates the first `width` bound rows of the lane's block.
+    #[doc(hidden)]
+    fn eval(plan: &driver::Plan<'_, Self>, lane: &mut driver::Lane<'_, Self>, width: usize);
+    /// Accounts scenario `i` (row `k` of the evaluated block) in the
+    /// report before the fold sees it.
+    #[doc(hidden)]
+    fn observe(_: &driver::Plan<'_, Self>, _: &mut driver::Lane<'_, Self>, _i: usize, _k: usize) {}
+    /// Merges a finished span's report into `report`; spans arrive in
+    /// ascending order.
+    #[doc(hidden)]
+    fn absorb(report: &mut Self::Report, span: Self::Scratch);
 }
 
-fn fold_program_sweep_par_impl<F: MergeFold + Send + Sync>(
-    evaluator: &BatchEvaluator<Rat>,
-    base: &Valuation<Rat>,
-    set: &ScenarioSet,
-    budget: &SweepBudget,
-    fold: F,
-) -> std::result::Result<SweepOutcome<F>, par::WorkerPanic> {
-    let prog = evaluator.program();
-    let np = prog.num_polys();
-    let n = set.len();
-    let n_target = budget.scenario_cap().map_or(n, |c| c.min(n));
-    if n_target == 0 {
-        return Ok(outcome_for(fold, 0, n, n_target, None));
+/// Exact rational arithmetic on both sides: `Rat` rows through the exact
+/// kernels (scaled-`i128` fixed point where it fits, the plain `Rat` walk
+/// otherwise). Nothing to report — the answers are the answers.
+pub struct Exact;
+
+/// The approximate `f64` fast path: scenarios bind directly as `f64` rows
+/// ([`PairBinder::bind_pair_into_f64`]) and run through the lane kernels
+/// at a fraction of the exact cost. Up to [`F64_PROBES`] evenly spaced
+/// scenarios of the **whole** set are additionally re-bound and
+/// re-evaluated on the exact engines (the armed probe twins under DAG
+/// mode), and the [`F64Divergence`] reports the largest deviation seen.
+pub struct Approx;
+
+/// The `f64` fast path with a **sound rounding certificate** instead of
+/// sampled probes: the [`ErrorShadow`]'s absolute-value twin programs are
+/// evaluated alongside every block (≈2× kernel cost) and the
+/// [`F64ErrorBound`] bounds the rounding error of *every* folded scenario
+/// a priori. Runs no exact arithmetic at all.
+pub struct Certified;
+
+/// The one sweep engine: a block loop (`run_span`) generic over the
+/// [`Precision`] and an item sink, run once on the calling thread for
+/// ordered folds and once per worker span for mergeable ones.
+mod driver {
+    use super::*;
+
+    pub trait Sealed {}
+    impl Sealed for Exact {}
+    impl Sealed for Approx {}
+    impl Sealed for Certified {}
+
+    /// One sweep, fixed on the calling thread before any span starts and
+    /// shared by all of them.
+    pub struct Plan<'a, P: Precision> {
+        cmp: &'a CompiledComparison,
+        engines: P::Engines<'a>,
+        metas: &'a [MetaVar],
+        base: &'a Valuation<Rat>,
+        set: &'a ScenarioSet,
+        budget: &'a SweepBudget,
+        /// Scenarios to sweep: the set's length clamped by the scenario cap.
+        n_target: usize,
+        block: usize,
+        /// Result tuples per scenario on the full and on the compressed
+        /// side — equal for comparisons, zero compressed for one-sided
+        /// program sweeps.
+        np: usize,
+        npc: usize,
+        /// Set by [`ordered`], which fans each block across cores inside
+        /// the batch kernels; span workers already own a core each, so
+        /// they run the serial kernels with scratch they keep across
+        /// blocks.
+        fan_out: bool,
+        /// Kernel overrides are thread-local: both choices are resolved
+        /// here and handed to every worker.
+        use_fixed: bool,
+        kern: F64Kernel,
     }
-    let block = stream_block(np, prog.num_locals()).min(n_target);
-    let check = budget.has_dynamic_limits();
-    // Kernel overrides are thread-local: resolve the exact-path choice
-    // here on the calling thread and hand it to every worker.
-    let use_fixed = kernel::exact_fixed_enabled();
-    let abort = CancelToken::new();
-    let partials = par::try_par_owned_spans(
-        n_target,
-        1,
-        &abort,
-        || {
-            let rows: Vec<Vec<Rat>> = (0..block)
-                .map(|_| vec![Rat::ZERO; prog.num_locals()])
-                .collect();
-            (
-                RowBinder::new(set, prog, base),
-                rows,
-                vec![Rat::ZERO; block * np],
-                fold.init(),
-                SpanProgress::default(),
-                FixedScratch::new(),
-            )
-        },
-        |state, range| {
-            let (binder, rows, out, f, span, scratch) = state;
-            *span = SpanProgress::begin(&range);
-            let mut start = range.start;
-            while start < range.end {
-                faults::point(faults::Site::Block);
-                if abort.is_cancelled() {
-                    span.reason = Some(StopReason::Cancelled);
+
+    impl<'a, P: Precision> Plan<'a, P> {
+        pub fn new(
+            cmp: &'a CompiledComparison,
+            engines: P::Engines<'a>,
+            (metas, base): (&'a [MetaVar], &'a Valuation<Rat>),
+            set: &'a ScenarioSet,
+            budget: &'a SweepBudget,
+        ) -> Plan<'a, P> {
+            let n_target = budget.scenario_cap().map_or(set.len(), |c| c.min(set.len()));
+            let (full, comp) = (cmp.full.program(), cmp.compressed.program());
+            let np = full.num_polys();
+            let locals = full.num_locals().max(comp.num_locals());
+            Plan {
+                cmp,
+                engines,
+                metas,
+                base,
+                set,
+                budget,
+                n_target,
+                block: stream_block(np, locals).min(n_target.max(1)),
+                np,
+                npc: comp.num_polys(),
+                fan_out: false,
+                use_fixed: kernel::exact_fixed_enabled(),
+                kern: kernel::current(),
+            }
+        }
+
+        /// Classifies a finished sweep: a dynamic stop wins, then a
+        /// scenario cap (`n_target < n`), otherwise the sweep is complete.
+        fn outcome<T>(&self, fold: T, done: usize, stop: Option<StopReason>) -> SweepOutcome<T> {
+            let reason = if done < self.n_target {
+                stop.unwrap_or(StopReason::Cancelled)
+            } else if self.n_target < self.set.len() {
+                StopReason::ScenarioCap
+            } else {
+                return SweepOutcome::Complete(fold);
+            };
+            SweepOutcome::Partial {
+                fold,
+                scenarios_done: done,
+                reason,
+            }
+        }
+    }
+
+    /// What one span owns while it streams: a binder, one block of rows
+    /// and results per side, and the precision's scratch.
+    pub struct Lane<'a, P: Precision> {
+        binder: PairBinder<'a>,
+        full_rows: Vec<Vec<P::Num>>,
+        comp_rows: Vec<Vec<P::Num>>,
+        full_out: Vec<P::Num>,
+        comp_out: Vec<P::Num>,
+        scratch: P::Scratch,
+    }
+
+    impl<'a, P: Precision> Lane<'a, P> {
+        fn new(plan: &Plan<'a, P>) -> Lane<'a, P> {
+            let (full, comp) = (plan.cmp.full.program(), plan.cmp.compressed.program());
+            Lane {
+                binder: PairBinder::new(plan.cmp, plan.metas, plan.base, plan.set),
+                full_rows: vec![vec![P::Num::zero(); full.num_locals()]; plan.block],
+                comp_rows: vec![vec![P::Num::zero(); comp.num_locals()]; plan.block],
+                full_out: vec![P::Num::zero(); plan.block * plan.np],
+                comp_out: vec![P::Num::zero(); plan.block * plan.npc],
+                scratch: P::scratch(plan),
+            }
+        }
+    }
+
+    /// The block loop: binds, evaluates and emits scenarios `range` in
+    /// enumeration order, polling `abort` (a sibling worker panicked) and
+    /// the budget's dynamic limits before every block.
+    fn run_span<P: Precision>(
+        plan: &Plan<'_, P>,
+        lane: &mut Lane<'_, P>,
+        range: std::ops::Range<usize>,
+        abort: Option<&CancelToken>,
+        mut sink: impl FnMut(FoldItem<'_, P::Num>),
+    ) -> SpanProgress {
+        let mut span = SpanProgress {
+            start: range.start,
+            done: range.start,
+            end: range.end,
+            reason: None,
+        };
+        let (np, npc) = (plan.np, plan.npc);
+        let check = plan.budget.has_dynamic_limits();
+        while span.done < range.end {
+            faults::point(faults::Site::Block);
+            if abort.is_some_and(CancelToken::is_cancelled) {
+                span.reason = Some(StopReason::Cancelled);
+                break;
+            }
+            if check {
+                if let Some(reason) = plan.budget.stop_reason() {
+                    span.reason = Some(reason);
                     break;
                 }
-                if check {
-                    if let Some(reason) = budget.stop_reason() {
-                        span.reason = Some(reason);
-                        break;
+            }
+            let start = span.done;
+            let width = plan.block.min(range.end - start);
+            for k in 0..width {
+                let (frow, crow) = (&mut lane.full_rows[k], &mut lane.comp_rows[k]);
+                P::bind(&mut lane.binder, start + k, frow, crow);
+            }
+            P::eval(plan, lane, width);
+            for k in 0..width {
+                P::observe(plan, lane, start + k, k);
+                sink(FoldItem {
+                    scenario: start + k,
+                    full: &lane.full_out[k * np..(k + 1) * np],
+                    compressed: &lane.comp_out[k * npc..(k + 1) * npc],
+                });
+            }
+            span.done = start + width;
+        }
+        span
+    }
+
+    /// An ordered closure fold: the driver run once over `0..n_target` on
+    /// the calling thread.
+    pub fn ordered<P: Precision, A>(
+        mut plan: Plan<'_, P>,
+        init: A,
+        mut f: impl FnMut(A, FoldItem<'_, P::Num>) -> A,
+    ) -> (SweepOutcome<A>, P::Report) {
+        plan.fan_out = true;
+        let plan = &plan;
+        let mut report = P::Report::default();
+        let mut lane = Lane::new(plan);
+        let mut acc = Some(init);
+        let span = run_span(plan, &mut lane, 0..plan.n_target, None, |item| {
+            let before = acc.take().expect("the accumulator is put back after every item");
+            acc = Some(f(before, item));
+        });
+        P::absorb(&mut report, lane.scratch);
+        let fold = acc.expect("the accumulator is put back after every item");
+        (plan.outcome(fold, span.done, span.reason), report)
+    }
+
+    /// A [`MergeFold`]: the driver under [`par::try_par_owned_spans`],
+    /// one lane and one fold replica per worker span. The partials merge
+    /// in ascending span order while the covered prefix stays contiguous
+    /// and complete: every completed span is absorbed, the first
+    /// interrupted span contributes its own completed prefix and ends the
+    /// merge, and everything after it is discarded — exactly the state of
+    /// one ordered pass over `0..done`, the bit-identity contract of
+    /// [`SweepOutcome::Partial`].
+    pub fn spans<P: Precision, F: MergeFold + Send + Sync>(
+        plan: &Plan<'_, P>,
+        mut fold: F,
+    ) -> std::result::Result<(SweepOutcome<F>, P::Report), par::WorkerPanic> {
+        let mut report = P::Report::default();
+        if plan.n_target == 0 {
+            // Nothing to sweep: no worker, so no binder is built (and its
+            // totality rules do not apply) — as the parallel sweeps
+            // always behaved; the ordered fold builds its one lane anyway.
+            return Ok((plan.outcome(fold, 0, None), report));
+        }
+        let abort = CancelToken::new();
+        let partials = par::try_par_owned_spans(
+            plan.n_target,
+            1,
+            &abort,
+            || (Lane::new(plan), fold.init(), SpanProgress::default()),
+            |(lane, replica, span), range| {
+                *span = run_span(plan, lane, range, Some(&abort), |item| replica.accept(item));
+            },
+        )?;
+        let (mut done, mut stop) = (0, None);
+        for (lane, replica, span) in partials {
+            if span.start != done {
+                break; // unreachable by construction; belt and braces
+            }
+            fold.merge(replica);
+            P::absorb(&mut report, lane.scratch);
+            done = span.done;
+            if span.done < span.end {
+                stop = span.reason;
+                break;
+            }
+        }
+        Ok((plan.outcome(fold, done, stop), report))
+    }
+
+    impl Precision for Exact {
+        type Num = Rat;
+        type Engines<'a> = ();
+        type Report = ();
+        type Scratch = FixedScratch;
+
+        fn session_engines(_: &CobraSession) -> Result<()> {
+            Ok(())
+        }
+
+        fn scratch(_: &Plan<'_, Exact>) -> FixedScratch {
+            FixedScratch::new()
+        }
+
+        fn bind(binder: &mut PairBinder<'_>, i: usize, full: &mut [Rat], comp: &mut [Rat]) {
+            binder.bind_pair_into(i, full, comp);
+        }
+
+        fn eval(plan: &Plan<'_, Exact>, lane: &mut Lane<'_, Exact>, width: usize) {
+            let scratch = &mut lane.scratch;
+            let sides = [
+                (&plan.cmp.full, &lane.full_rows, &mut lane.full_out, plan.np),
+                (&plan.cmp.compressed, &lane.comp_rows, &mut lane.comp_out, plan.npc),
+            ];
+            for (engine, rows, out, np) in sides {
+                let (rows, out) = (&rows[..width], &mut out[..width * np]);
+                if plan.fan_out {
+                    engine.eval_batch_exact_into(rows, out);
+                } else {
+                    engine.eval_batch_exact_serial_with(plan.use_fixed, rows, out, scratch);
+                }
+            }
+        }
+
+        fn absorb(_: &mut (), _: FixedScratch) {}
+    }
+
+    /// Evaluates both `f64` sides of a block — the step [`Approx`] and
+    /// [`Certified`] share.
+    fn eval_f64_block<P: Precision>(
+        plan: &Plan<'_, P>,
+        (full64, comp64): (&BatchEvaluator<f64>, &BatchEvaluator<f64>),
+        (full_rows, comp_rows): (&[Vec<f64>], &[Vec<f64>]),
+        (full_out, comp_out): (&mut [f64], &mut [f64]),
+        lanes: &mut LaneScratch,
+    ) {
+        for (engine, rows, out) in [(full64, full_rows, full_out), (comp64, comp_rows, comp_out)] {
+            if plan.fan_out {
+                engine.eval_batch_fast_into(rows, out);
+            } else {
+                engine.eval_batch_fast_serial_with(plan.kern, rows, out, lanes);
+            }
+        }
+    }
+
+    /// [`Approx`]'s span state: lane-kernel scratch plus everything the
+    /// exact divergence probes need.
+    pub struct ApproxScratch {
+        lanes: LaneScratch,
+        /// Probe indices over the **full** set length, and the cursor of
+        /// the first one this span has not passed yet.
+        probes: Vec<usize>,
+        next_probe: usize,
+        full_row: Vec<Rat>,
+        comp_row: Vec<Rat>,
+        out: Vec<Rat>,
+        fixed: FixedScratch,
+        divergence: F64Divergence,
+    }
+
+    impl Precision for Approx {
+        type Num = f64;
+        type Engines<'a> = (&'a BatchEvaluator<f64>, &'a BatchEvaluator<f64>);
+        type Report = F64Divergence;
+        type Scratch = ApproxScratch;
+
+        fn session_engines(session: &CobraSession) -> Result<Self::Engines<'_>> {
+            Ok(session.f64_engines(session.compressed_state()?))
+        }
+
+        fn check(cmp: &CompiledComparison, (full64, comp64): Self::Engines<'_>) {
+            cmp.assert_mirrored_by("f64 shadow", full64.program(), comp64.program());
+        }
+
+        fn scratch(plan: &Plan<'_, Approx>) -> ApproxScratch {
+            // Probes evaluate the armed twins (flat originals in DAG mode)
+            // so they stay fixed-point eligible — see `probe_programs`.
+            let (probe_full, probe_comp) = plan.cmp.probe_programs();
+            ApproxScratch {
+                lanes: LaneScratch::new(),
+                probes: f64_probe_indices(plan.set.len()),
+                next_probe: 0,
+                full_row: vec![Rat::ZERO; probe_full.num_locals()],
+                comp_row: vec![Rat::ZERO; probe_comp.num_locals()],
+                out: vec![Rat::ZERO; plan.np],
+                fixed: FixedScratch::new(),
+                divergence: F64Divergence::default(),
+            }
+        }
+
+        fn bind(binder: &mut PairBinder<'_>, i: usize, full: &mut [f64], comp: &mut [f64]) {
+            binder.bind_pair_into_f64(i, full, comp);
+        }
+
+        fn eval(plan: &Plan<'_, Approx>, lane: &mut Lane<'_, Approx>, width: usize) {
+            let n = width * plan.np;
+            eval_f64_block(
+                plan,
+                plan.engines,
+                (&lane.full_rows[..width], &lane.comp_rows[..width]),
+                (&mut lane.full_out[..n], &mut lane.comp_out[..n]),
+                &mut lane.scratch.lanes,
+            );
+        }
+
+        fn observe(plan: &Plan<'_, Approx>, lane: &mut Lane<'_, Approx>, i: usize, k: usize) {
+            let s = &mut lane.scratch;
+            loop {
+                match s.probes.get(s.next_probe) {
+                    // A span's cursor starts at 0: its first scenario
+                    // skips the probes that fell to earlier spans.
+                    Some(&probe) if probe < i => s.next_probe += 1,
+                    Some(&probe) if probe == i => break,
+                    _ => return,
+                }
+            }
+            s.next_probe += 1;
+            s.divergence.probed += 1;
+            lane.binder.bind_pair_into(i, &mut s.full_row, &mut s.comp_row);
+            let at = k * plan.np..(k + 1) * plan.np;
+            // Probes follow the exact-kernel dispatch too: at provenance
+            // scale a plain `Rat` walk per probe would dwarf the whole
+            // `f64` sweep it is spot-checking.
+            let (probe_full, probe_comp) = plan.cmp.probe_programs();
+            let sides = [
+                (probe_full, &s.full_row, &lane.full_out),
+                (probe_comp, &s.comp_row, &lane.comp_out),
+            ];
+            for (program, row, approx) in sides {
+                program.eval_scenario_exact_with(plan.use_fixed, row, &mut s.out, &mut s.fixed);
+                s.divergence.record(&s.out, &approx[at.clone()]);
+            }
+        }
+
+        fn absorb(report: &mut F64Divergence, span: ApproxScratch) {
+            report.merge(span.divergence);
+        }
+    }
+
+    /// [`Certified`]'s span state: lane-kernel scratch plus the Higham
+    /// shadow's magnitude rows and results.
+    pub struct CertifiedScratch {
+        lanes: LaneScratch,
+        abs_full_rows: Vec<Vec<f64>>,
+        abs_comp_rows: Vec<Vec<f64>>,
+        abs_full_out: Vec<f64>,
+        abs_comp_out: Vec<f64>,
+        bound: F64ErrorBound,
+    }
+
+    impl Precision for Certified {
+        type Num = f64;
+        type Engines<'a> = (
+            &'a BatchEvaluator<f64>,
+            &'a BatchEvaluator<f64>,
+            &'a ErrorShadow,
+        );
+        type Report = F64ErrorBound;
+        type Scratch = CertifiedScratch;
+
+        fn session_engines(session: &CobraSession) -> Result<Self::Engines<'_>> {
+            let state = session.compressed_state()?;
+            let (full64, comp64) = session.f64_engines(state);
+            Ok((full64, comp64, session.error_shadow(state)))
+        }
+
+        fn check(cmp: &CompiledComparison, (full64, comp64, _): Self::Engines<'_>) {
+            cmp.assert_mirrored_by("f64 shadow", full64.program(), comp64.program());
+        }
+
+        fn scratch(plan: &Plan<'_, Certified>) -> CertifiedScratch {
+            let (full, comp) = (plan.cmp.full.program(), plan.cmp.compressed.program());
+            CertifiedScratch {
+                lanes: LaneScratch::new(),
+                abs_full_rows: vec![vec![0.0; full.num_locals()]; plan.block],
+                abs_comp_rows: vec![vec![0.0; comp.num_locals()]; plan.block],
+                abs_full_out: vec![0.0; plan.block * plan.np],
+                abs_comp_out: vec![0.0; plan.block * plan.np],
+                bound: F64ErrorBound::default(),
+            }
+        }
+
+        fn bind(binder: &mut PairBinder<'_>, i: usize, full: &mut [f64], comp: &mut [f64]) {
+            binder.bind_pair_into_f64(i, full, comp);
+        }
+
+        fn eval(plan: &Plan<'_, Certified>, lane: &mut Lane<'_, Certified>, width: usize) {
+            let (full64, comp64, err) = plan.engines;
+            let n = width * plan.np;
+            let s = &mut lane.scratch;
+            eval_f64_block(
+                plan,
+                (full64, comp64),
+                (&lane.full_rows[..width], &lane.comp_rows[..width]),
+                (&mut lane.full_out[..n], &mut lane.comp_out[..n]),
+                &mut s.lanes,
+            );
+            let magnitudes = |abs_rows: &mut [Vec<f64>], rows: &[Vec<f64>]| {
+                for (abs_row, row) in abs_rows.iter_mut().zip(rows) {
+                    for (a, &x) in abs_row.iter_mut().zip(row) {
+                        *a = x.abs();
                     }
                 }
-                let width = block.min(range.end - start);
-                for (k, row) in rows[..width].iter_mut().enumerate() {
-                    binder.bind_into(start + k, row);
-                }
-                evaluator.eval_batch_exact_serial_with(
-                    use_fixed,
-                    &rows[..width],
-                    &mut out[..width * np],
-                    scratch,
-                );
-                for k in 0..width {
-                    f.accept(FoldItem {
-                        scenario: start + k,
-                        full: &out[k * np..(k + 1) * np],
-                        compressed: &[],
-                    });
-                }
-                start += width;
-                span.done = start;
-            }
-        },
-    )?;
-    let mut fold = fold;
-    let (done, stop) = merge_span_prefix(
-        partials.into_iter().map(|p| (p.4, p.3)).collect(),
-        |partial| fold.merge(partial),
-    );
-    Ok(outcome_for(fold, done, n, n_target, stop))
+            };
+            magnitudes(&mut s.abs_full_rows[..width], &lane.full_rows[..width]);
+            magnitudes(&mut s.abs_comp_rows[..width], &lane.comp_rows[..width]);
+            eval_f64_block(
+                plan,
+                (&err.full_abs, &err.comp_abs),
+                (&s.abs_full_rows[..width], &s.abs_comp_rows[..width]),
+                (&mut s.abs_full_out[..n], &mut s.abs_comp_out[..n]),
+                &mut s.lanes,
+            );
+        }
+
+        fn observe(plan: &Plan<'_, Certified>, lane: &mut Lane<'_, Certified>, i: usize, k: usize) {
+            let s = &mut lane.scratch;
+            let at = k * plan.np..(k + 1) * plan.np;
+            plan.engines.2.record(
+                &mut s.bound,
+                i,
+                &lane.full_out[at.clone()],
+                &lane.comp_out[at.clone()],
+                &s.abs_full_out[at.clone()],
+                &s.abs_comp_out[at],
+            );
+        }
+
+        fn absorb(report: &mut F64ErrorBound, span: CertifiedScratch) {
+            report.merge(span.bound);
+        }
+    }
 }
 
 /// The canonical leaf/meta valuation pair for one scenario: the scenario
@@ -2098,7 +1583,7 @@ impl<'a> PairBinder<'a> {
     }
 
     /// Binds scenario `i` into two **`f64`** row buffers — the
-    /// approximate bind path of [`CompiledComparison::sweep_fold_f64`].
+    /// bind path of the [`Approx`] and [`Certified`] precisions.
     /// Grid and perturbation overrides are resolved in floating point
     /// against cached `f64` base rows (one write per override, group
     /// averages included), so per-scenario work involves no `Rat`
@@ -2247,7 +1732,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             Valuation::with_default(Rat::ONE).bind(m3, rat("0.8")),
             uniform_scenario(&[b_vars[0]], rat("1.3")),
         ];
-        let sweep = sweep_full_vs_compressed(&engines, &applied.meta_vars, &base, &scenarios);
+        let sweep = engines.sweep(&applied.meta_vars, &base, &ScenarioSet::from(&scenarios));
         assert_eq!(sweep.len(), 3);
         assert_eq!(sweep.num_polys(), 2);
         for (scenario, cmp) in scenarios.iter().zip(sweep.comparisons()) {
@@ -2290,7 +1775,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         assert_eq!(grid.len(), 12);
         let by_grid = engines.sweep(&applied.meta_vars, &base, &grid);
         let flat = grid.materialize(&base);
-        let by_vec = sweep_full_vs_compressed(&engines, &applied.meta_vars, &base, &flat[..]);
+        let by_vec = engines.sweep(&applied.meta_vars, &base, &ScenarioSet::from(flat));
         assert_eq!(by_grid.len(), by_vec.len());
         for i in 0..by_grid.len() {
             assert_eq!(by_grid.full_row(i), by_vec.full_row(i), "scenario {i}");
@@ -2315,7 +1800,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         let perturb = ScenarioSet::perturb_each(vars, rat("0.125"));
         let by_set = engines.sweep(&applied.meta_vars, &base, &perturb);
         let flat = perturb.materialize(&base);
-        let by_vec = sweep_full_vs_compressed(&engines, &applied.meta_vars, &base, &flat[..]);
+        let by_vec = engines.sweep(&applied.meta_vars, &base, &ScenarioSet::from(flat));
         for i in 0..by_set.len() {
             assert_eq!(by_set.full_row(i), by_vec.full_row(i), "scenario {i}");
             assert_eq!(by_set.compressed_row(i), by_vec.compressed_row(i), "scenario {i}");
@@ -2361,18 +1846,23 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         let sweep = engines.sweep(&applied.meta_vars, &base, &grid);
         // an appending fold reproduces the materialized sweep bit for bit,
         // and scenarios arrive strictly in enumeration order
-        let (order, rows) = engines.sweep_fold(
-            &applied.meta_vars,
-            &base,
-            &grid,
-            (Vec::new(), Vec::new()),
-            |(mut order, mut rows): (Vec<usize>, Vec<Rat>), item| {
-                order.push(item.scenario);
-                rows.extend_from_slice(item.full);
-                rows.extend_from_slice(item.compressed);
-                (order, rows)
-            },
-        );
+        let (order, rows) = engines
+            .fold::<Exact, _>(
+                (),
+                (&applied.meta_vars, &base),
+                &grid,
+                &SweepBudget::unlimited(),
+                (Vec::new(), Vec::new()),
+                |(mut order, mut rows): (Vec<usize>, Vec<Rat>), item| {
+                    order.push(item.scenario);
+                    rows.extend_from_slice(item.full);
+                    rows.extend_from_slice(item.compressed);
+                    (order, rows)
+                },
+            )
+            .unwrap()
+            .0
+            .into_fold();
         assert_eq!(order, (0..grid.len()).collect::<Vec<_>>());
         for i in 0..grid.len() {
             let np = sweep.num_polys();
@@ -2401,17 +1891,20 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             .build()
             .unwrap();
         let exact = engines.sweep(&applied.meta_vars, &base, &grid);
-        let (approx, div) = engines.sweep_fold_f64(
-            (&full64, &comp64),
-            &applied.meta_vars,
-            &base,
-            &grid,
-            Vec::new(),
-            |mut rows: Vec<(Vec<f64>, Vec<f64>)>, item| {
-                rows.push((item.full.to_vec(), item.compressed.to_vec()));
-                rows
-            },
-        );
+        let (approx, div) = engines
+            .fold::<Approx, _>(
+                (&full64, &comp64),
+                (&applied.meta_vars, &base),
+                &grid,
+                &SweepBudget::unlimited(),
+                Vec::new(),
+                |mut rows: Vec<(Vec<f64>, Vec<f64>)>, item| {
+                    rows.push((item.full.to_vec(), item.compressed.to_vec()));
+                    rows
+                },
+            )
+            .unwrap();
+        let approx = approx.into_fold();
         assert_eq!(approx.len(), grid.len());
         assert!(div.probed > 0 && div.probed <= grid.len());
         assert!(div.max_rel_divergence < 1e-12, "divergence {div:?}");
@@ -2441,17 +1934,20 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         let perturb = ScenarioSet::perturb_each([m3, b1], rat("0.25"));
         for family in [ScenarioSet::from(&explicit[..]), perturb] {
             let exact = engines.sweep(&applied.meta_vars, &base, &family);
-            let (approx, div) = engines.sweep_fold_f64(
-                (&full64, &comp64),
-                &applied.meta_vars,
-                &base,
-                &family,
-                Vec::new(),
-                |mut rows: Vec<Vec<f64>>, item| {
-                    rows.push(item.full.to_vec());
-                    rows
-                },
-            );
+            let (approx, div) = engines
+                .fold::<Approx, _>(
+                    (&full64, &comp64),
+                    (&applied.meta_vars, &base),
+                    &family,
+                    &SweepBudget::unlimited(),
+                    Vec::new(),
+                    |mut rows: Vec<Vec<f64>>, item| {
+                        rows.push(item.full.to_vec());
+                        rows
+                    },
+                )
+                .unwrap();
+            let approx = approx.into_fold();
             assert_eq!(div.probed, family.len().min(16));
             for (i, full) in approx.iter().enumerate() {
                 for (e, a) in exact.full_row(i).iter().zip(full) {
@@ -2462,44 +1958,13 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
     }
 
     #[test]
-    fn fold_program_sweep_matches_direct_evaluation() {
-        let (mut reg, set, _) = setup();
-        let evaluator = BatchEvaluator::compile(&set);
-        let base = Valuation::with_default(Rat::ONE);
-        let m3 = reg.var("m3");
-        let grid = ScenarioSet::grid()
-            .axis([m3], [rat("0.8"), rat("0.9"), rat("1"), rat("1.1")])
-            .build()
-            .unwrap();
-        let rows = fold_program_sweep(
-            &evaluator,
-            &base,
-            &grid,
-            Vec::new(),
-            |mut acc: Vec<Vec<Rat>>, i, results| {
-                assert_eq!(i, acc.len());
-                acc.push(results.to_vec());
-                acc
-            },
-        );
-        assert_eq!(rows.len(), 4);
-        for (i, row) in rows.iter().enumerate() {
-            let val = base.overridden_by(&grid.scenario_valuation(i, &base));
-            for ((_, expected), got) in set.eval(&val).unwrap().iter().zip(row) {
-                assert_eq!(expected, got, "scenario {i}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_sweep() {
         let (_, set, applied) = setup();
         let engines = CompiledComparison::compile(&set, &applied.compressed);
-        let sweep = sweep_full_vs_compressed(
-            &engines,
+        let sweep = engines.sweep(
             &applied.meta_vars,
             &Valuation::with_default(Rat::ONE),
-            &[][..],
+            &ScenarioSet::from(Vec::new()),
         );
         assert!(sweep.is_empty());
         assert!(sweep.is_exact());

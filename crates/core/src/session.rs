@@ -30,8 +30,8 @@ use crate::planner::{
 };
 use crate::report::{CompressionReport, DagReport};
 use crate::scenario::{
-    measure_sweep_speedup, CompiledComparison, ErrorShadow, F64Divergence, F64ErrorBound,
-    F64ScenarioSweep, FoldItem, ScenarioSweep,
+    measure_sweep_speedup, Approx, Certified, CompiledComparison, ErrorShadow, Exact,
+    F64Divergence, F64ErrorBound, F64ScenarioSweep, FoldItem, Precision, ScenarioSweep,
 };
 use crate::scenario_set::ScenarioSet;
 use crate::tree::AbstractionTree;
@@ -43,23 +43,20 @@ use cobra_util::{par, FxHashMap, FxHashSet, Rat};
 use std::cell::OnceCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Maps an already-caught worker panic whose payload is the exact
-/// `i128` rational overflow panic onto the typed, recoverable
-/// [`CoreError::ExactOverflow`]; every other error passes through.
-fn overflow_to_typed(e: CoreError) -> CoreError {
-    match e {
-        CoreError::WorkerPanicked(m) if m.contains("Rat overflow") => CoreError::ExactOverflow(m),
-        other => other,
-    }
-}
-
-/// Runs an exact sweep surface under `catch_unwind`, converting a `Rat`
-/// overflow panic (reachable on adversarial coefficients near `i128::MAX`)
-/// into the typed [`CoreError::ExactOverflow`] so a long-lived session or
-/// server worker survives it; any unrelated panic is resumed unchanged.
+/// Runs a sweep surface under `catch_unwind`, converting a `Rat` overflow
+/// panic (reachable on adversarial coefficients near `i128::MAX`) — on
+/// this thread, or already caught on a sweep worker and reported as
+/// [`CoreError::WorkerPanicked`] — into the typed
+/// [`CoreError::ExactOverflow`], so a long-lived session or server worker
+/// survives it; any unrelated panic is resumed unchanged.
 fn catch_exact_overflow<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(result) => result.map_err(overflow_to_typed),
+        Ok(result) => result.map_err(|e| match e {
+            CoreError::WorkerPanicked(m) if m.contains("Rat overflow") => {
+                CoreError::ExactOverflow(m)
+            }
+            other => other,
+        }),
         Err(payload) => {
             let msg = par::panic_message(&payload);
             if msg.contains("Rat overflow") {
@@ -469,7 +466,7 @@ impl CobraSession {
     /// compressed side. In DAG mode both shadows derive from the exact DAG
     /// programs, so the `f64` path evaluates the identical slot structure
     /// the exact path does.
-    fn f64_engines<'a>(
+    pub(crate) fn f64_engines<'a>(
         &'a self,
         state: &'a Compressed,
     ) -> (&'a BatchEvaluator<f64>, &'a BatchEvaluator<f64>) {
@@ -494,7 +491,7 @@ impl CobraSession {
     /// once per compression on the first bounded sweep. DAG mode carries
     /// its own shadow: the slot-aware rounding-op counts certify the
     /// restructured evaluation, not the flat one.
-    fn error_shadow<'a>(&'a self, state: &'a Compressed) -> &'a ErrorShadow {
+    pub(crate) fn error_shadow<'a>(&'a self, state: &'a Compressed) -> &'a ErrorShadow {
         let cell = if self.dag_mode {
             &state.dag_err_shadow
         } else {
@@ -1354,7 +1351,7 @@ impl CobraSession {
         Ok(())
     }
 
-    fn compressed_state(&self) -> Result<&Compressed> {
+    pub(crate) fn compressed_state(&self) -> Result<&Compressed> {
         self.compressed
             .as_ref()
             .ok_or_else(|| CoreError::Session("compress must be called first".into()))
@@ -1587,77 +1584,29 @@ impl CobraSession {
         })
     }
 
-    /// Streams a scenario family through both compiled engines and folds
-    /// each scenario's **exact** results into an accumulator, without
-    /// ever materializing the result matrix: the aggregate hypothetical
-    /// questions the paper motivates — worst-case abstraction error,
-    /// argmax impact, outcome histograms — run over 10⁷-scenario grids in
-    /// O(1) output memory ([`folds`](crate::folds) ships the common
-    /// aggregates). `f` receives each scenario as a [`FoldItem`] in
-    /// enumeration order; the rows it borrows are reused block buffers,
-    /// so copy out whatever must outlive the call.
+    /// The **ordered** fold entry: streams a scenario family through both
+    /// compiled engines in precision `P` ([`Exact`], [`Approx`] or
+    /// [`Certified`] — see [`Precision`] for what each evaluates and
+    /// reports) and folds each scenario's result rows into an
+    /// accumulator on the calling thread, without ever materializing the
+    /// result matrix: the aggregate hypothetical questions the paper
+    /// motivates — worst-case abstraction error, argmax impact, outcome
+    /// histograms — run over 10⁷-scenario grids in O(1) output memory
+    /// ([`folds`](crate::folds) ships the common aggregates). `f`
+    /// receives each scenario as a [`FoldItem`] in enumeration order; the
+    /// rows it borrows are reused block buffers, so copy out whatever
+    /// must outlive the call. This is [`CompiledComparison::fold`] over
+    /// the session's cached engines, valuation and meta-variables.
     ///
-    /// Results are identical to [`sweep`](Self::sweep) — `sweep` *is*
-    /// this fold with an appending accumulator.
-    ///
-    /// ```
-    /// use cobra_core::{folds, CobraSession, ScenarioSet};
-    /// use cobra_core::folds::MaxAbsError;
-    /// use cobra_util::Rat;
-    ///
-    /// let mut session = CobraSession::from_text(
-    ///     "P1 = 208.8*p1*m1 + 240*p1*m3 + 42*v*m1 + 24.2*v*m3",
-    /// ).unwrap();
-    /// session.add_tree_text("Plans(Standard(p1,p2), v)").unwrap();
-    /// session.set_bound(2);
-    /// session.compress().unwrap();
-    /// let m3 = session.registry_mut().var("m3");
-    /// let rat = |s: &str| Rat::parse(s).unwrap();
-    /// let grid = ScenarioSet::grid()
-    ///     .axis([m3], [rat("0.8"), rat("1"), rat("1.2")])
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// // Count the lossless scenarios with a plain closure fold…
-    /// let exact_points = session
-    ///     .sweep_fold(&grid, 0usize, |n, item| {
-    ///         n + usize::from(item.full == item.compressed)
-    ///     })
-    ///     .unwrap();
-    /// assert_eq!(exact_points, 3); // m3 is outside the tree: all exact
-    ///
-    /// // …or plug in a built-in aggregate via `folds::step`.
-    /// let worst = session
-    ///     .sweep_fold(&grid, MaxAbsError::new(), folds::step)
-    ///     .unwrap();
-    /// assert_eq!(worst.max_rel_error, 0.0);
-    /// ```
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run.
-    pub fn sweep_fold<A>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, Rat>) -> A,
-    ) -> Result<A> {
-        let state = self.compressed_state()?;
-        let set = scenarios.into();
-        catch_exact_overflow(move || {
-            Ok(self
-                .engines(state)
-                .sweep_fold(&state.meta_vars, &self.base_valuation, &set, init, f))
-        })
-    }
-
-    /// [`sweep_fold`](Self::sweep_fold) under a [`SweepBudget`]: the
-    /// sweep polls the budget at block granularity, and an exhausted
+    /// The sweep polls `budget` at block granularity, and an exhausted
     /// budget returns [`SweepOutcome::Partial`] whose fold is **exactly**
-    /// the sequential fold over the scenario prefix completed — graceful
-    /// degradation without approximation.
+    /// the fold over the scenario prefix completed — graceful degradation
+    /// without approximation; `P::Report` covers the same prefix. Pass
+    /// `&SweepBudget::unlimited()` to run to completion.
     ///
     /// ```
-    /// use cobra_core::{CobraSession, ScenarioSet, SweepBudget};
+    /// use cobra_core::folds::{self, MaxAbsError};
+    /// use cobra_core::{Certified, CobraSession, Exact, ScenarioSet, SweepBudget};
     /// use cobra_util::Rat;
     ///
     /// let mut session = CobraSession::from_text(
@@ -1672,271 +1621,82 @@ impl CobraSession {
     ///     .build()
     ///     .unwrap();
     ///
-    /// // Cap the sweep at 40 of the 100 scenarios…
-    /// let budget = SweepBudget::unlimited().with_scenario_cap(40);
-    /// let outcome = session
-    ///     .sweep_fold_budgeted(&grid, budget, 0usize, |n, _| n + 1)
+    /// // Count the lossless scenarios with a plain closure fold…
+    /// let unlimited = SweepBudget::unlimited();
+    /// let (lossless, ()) = session
+    ///     .fold::<Exact, _>(&grid, &unlimited, 0usize, |n, item| {
+    ///         n + usize::from(item.full == item.compressed)
+    ///     })
     ///     .unwrap();
-    /// // …and get the exact fold over precisely that prefix.
+    /// assert_eq!(lossless.into_fold(), 100); // m3 is outside the tree: all exact
+    /// // …or plug in a built-in aggregate via `folds::step`.
+    /// let worst = session.sweep_fold(&grid, MaxAbsError::new(), folds::step).unwrap();
+    /// assert_eq!(worst.max_rel_error, 0.0);
+    ///
+    /// // Cap the sweep at 40 of the 100 scenarios and get the exact fold
+    /// // over precisely that prefix; the session stays usable afterwards.
+    /// let capped = SweepBudget::unlimited().with_scenario_cap(40);
+    /// let (outcome, ()) = session
+    ///     .fold::<Exact, _>(&grid, &capped, 0usize, |n, _| n + 1)
+    ///     .unwrap();
     /// assert_eq!(outcome.scenarios_done(), Some(40));
     /// assert_eq!(*outcome.fold(), 40);
-    /// // the session stays fully usable afterwards
-    /// assert!(session.sweep_fold(&grid, 0usize, |n, _| n + 1).is_ok());
+    ///
+    /// // `f64` speed with a sound rounding bound on every scenario.
+    /// let (outcome, bound) = session
+    ///     .fold::<Certified, _>(&grid, &unlimited, 0usize, |n, _| n + 1)
+    ///     .unwrap();
+    /// assert_eq!(outcome.into_fold(), 100);
+    /// assert_eq!(bound.scenarios, 100);
+    /// assert!(bound.max_rel_bound < 1e-12); // tiny for well-conditioned inputs
     /// ```
     ///
     /// # Errors
     /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// scenario cap of zero over a non-empty set.
-    pub fn sweep_fold_budgeted<A>(
+    /// scenario cap of zero over a non-empty set; `ExactOverflow` when
+    /// exact arithmetic (the [`Exact`] kernels, [`Approx`]'s probes)
+    /// overflows `i128` — typed, and the session stays usable.
+    pub fn fold<P: Precision, A>(
         &self,
         scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
+        budget: &SweepBudget,
         init: A,
-        f: impl FnMut(A, FoldItem<'_, Rat>) -> A,
-    ) -> Result<SweepOutcome<A>> {
+        f: impl FnMut(A, FoldItem<'_, P::Num>) -> A,
+    ) -> Result<(SweepOutcome<A>, P::Report)> {
         let state = self.compressed_state()?;
         let set = scenarios.into();
         catch_exact_overflow(move || {
-            self.engines(state).sweep_fold_budgeted(
-                &state.meta_vars,
-                &self.base_valuation,
+            self.engines(state).fold::<P, A>(
+                P::session_engines(self)?,
+                (&state.meta_vars, &self.base_valuation),
                 &set,
-                &budget,
+                budget,
                 init,
                 f,
             )
         })
     }
 
-    /// [`sweep_fold`](Self::sweep_fold) **fanned across cores**: the
-    /// scenario family is split into contiguous per-worker spans, each
-    /// worker thread owns its own binder, batch buffers and a replica of
-    /// `fold` ([`MergeFold::init`]), and the partial accumulators merge
-    /// back in ascending span order ([`MergeFold::merge`]) — so the
-    /// result is **bit-identical** to the sequential
-    /// `sweep_fold(set, fold, folds::step)` at any thread count
-    /// (`COBRA_THREADS`, or
-    /// [`par::with_threads`] in tests).
-    /// This lifts the fold path's single-thread bind bottleneck: binding
-    /// dominated compressed-side sweeps, and it now scales with cores.
+    /// The **mergeable** fold entry: [`fold`](Self::fold) fanned across
+    /// cores ([`CompiledComparison::fold_par`] over the session's cached
+    /// engines). The scenario family is split into contiguous per-worker
+    /// spans, each worker thread owns its own binder, batch buffers and a
+    /// replica of `fold` ([`MergeFold::init`]), and the partial
+    /// accumulators merge back in ascending span order
+    /// ([`MergeFold::merge`]) — so fold state **and** `P::Report` are
+    /// **bit-identical** to `fold::<P, _>(set, budget, fold, folds::step)`
+    /// at any thread count (`COBRA_THREADS`, or [`par::with_threads`] in
+    /// tests), including the [`SweepOutcome::Partial`] prefix of an
+    /// exhausted budget (property-pinned in `tests/robustness.rs`). This
+    /// lifts the ordered entry's single-thread bind bottleneck: binding
+    /// dominates compressed-side sweeps, and here it scales with cores.
     ///
-    /// Any [`MergeFold`] plugs in, including tuple compositions:
-    ///
-    /// ```
-    /// use cobra_core::folds::{MaxAbsError, SweepFold, TopK};
-    /// use cobra_core::{CobraSession, ScenarioSet};
-    /// use cobra_util::Rat;
-    ///
-    /// let mut session = CobraSession::from_text(
-    ///     "P1 = 208.8*p1*m1 + 240*p1*m3 + 42*v*m1 + 24.2*v*m3",
-    /// ).unwrap();
-    /// session.add_tree_text("Plans(Standard(p1,p2), v)").unwrap();
-    /// session.set_bound(2);
-    /// session.compress().unwrap();
-    /// let m3 = session.registry_mut().var("m3");
-    /// let p1 = session.registry_mut().var("p1");
-    /// let rat = |s: &str| Rat::parse(s).unwrap();
-    /// let grid = ScenarioSet::grid()
-    ///     .axis([m3], [rat("0.8"), rat("1"), rat("1.2")])
-    ///     .axis([p1], [rat("1"), rat("1.1")])
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// // worst-case error and top-2 revenue scenarios in one parallel pass
-    /// let (worst, top) = session
-    ///     .sweep_fold_par(&grid, (MaxAbsError::new(), TopK::new(0, 2)))
-    ///     .unwrap();
-    /// let top = top.finish();
-    /// assert!(worst.max_rel_error > 0.0); // p1 moves alone in its group
-    /// assert_eq!(top.len(), 2);
-    /// // identical to the sequential fold engine, bit for bit
-    /// let seq = session
-    ///     .sweep_fold(&grid, MaxAbsError::new(), cobra_core::folds::step)
-    ///     .unwrap();
-    /// assert_eq!(worst.max_rel_error, seq.max_rel_error);
-    /// assert_eq!(worst.argmax_rel, seq.argmax_rel);
-    /// ```
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `WorkerPanicked` if a worker
-    /// thread panicked mid-sweep (faults are isolated at span boundaries:
-    /// the panic is caught, sibling workers are cancelled, and the
-    /// session remains fully usable).
-    pub fn sweep_fold_par<F: MergeFold + Send + Sync>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        fold: F,
-    ) -> Result<F> {
-        self.sweep_fold_par_budgeted(scenarios, SweepBudget::unlimited(), fold)
-            .map(SweepOutcome::into_fold)
-    }
-
-    /// [`sweep_fold_par`](Self::sweep_fold_par) under a [`SweepBudget`]:
-    /// every worker polls the budget between blocks, and an exhausted
-    /// budget returns [`SweepOutcome::Partial`] whose fold is the
-    /// in-order merge of completed span prefixes — **bit-identical** to a
-    /// sequential fold over the same scenario prefix, at any thread
-    /// count (property-pinned in `tests/robustness.rs`).
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// zero scenario cap over a non-empty set; `WorkerPanicked` if a
-    /// worker thread panicked (the session remains usable).
-    pub fn sweep_fold_par_budgeted<F: MergeFold + Send + Sync>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
-        fold: F,
-    ) -> Result<SweepOutcome<F>> {
-        let state = self.compressed_state()?;
-        // Workers already catch their own panics at span boundaries; an
-        // exact overflow surfaces as `WorkerPanicked` and is remapped to
-        // the typed, recoverable error here.
-        self.engines(state)
-            .sweep_fold_par_budgeted(
-                &state.meta_vars,
-                &self.base_valuation,
-                &scenarios.into(),
-                &budget,
-                fold,
-            )
-            .map_err(overflow_to_typed)
-    }
-
-    /// [`sweep_fold`](Self::sweep_fold) on the **approximate `f64` fast
-    /// path**: scenarios bind as `f64` rows and every block runs through
-    /// the lane-blocked SIMD kernel, making huge grids aggregate at the
-    /// `f64` per-scenario cost instead of exact rational arithmetic — the
-    /// E10 experiment measures 0.12 µs vs 8.2 µs per scenario (~67×) on
-    /// the paper example at 10⁶ grid points.
-    ///
-    /// The trade-off is floating-point rounding: coefficients, bound
-    /// rows and evaluation all round to nearest. The engine therefore
-    /// re-evaluates up to 16 evenly spaced scenarios on the exact
-    /// engines and returns the largest observed relative deviation as an
-    /// [`F64Divergence`] next to the fold output — a measured spot check
-    /// (not a proven worst-case bound) that surfaces catastrophic
-    /// cancellation if a workload ever triggers it. Exactness-critical
-    /// sweeps should use [`sweep_fold`](Self::sweep_fold).
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run.
-    pub fn sweep_fold_f64<A>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(A, F64Divergence)> {
-        let state = self.compressed_state()?;
-        Ok(self.engines(state).sweep_fold_f64(
-            self.f64_engines(state),
-            &state.meta_vars,
-            &self.base_valuation,
-            &scenarios.into(),
-            init,
-            f,
-        ))
-    }
-
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) under a [`SweepBudget`]:
-    /// block-granular budget polls on the `f64` fast path, exact partial
-    /// prefixes on exhaustion. The returned [`F64Divergence`] covers the
-    /// probes inside the completed prefix, matching a sequential run over
-    /// the same prefix.
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// zero scenario cap over a non-empty set.
-    pub fn sweep_fold_f64_budgeted<A>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(SweepOutcome<A>, F64Divergence)> {
-        let state = self.compressed_state()?;
-        self.engines(state).sweep_fold_f64_budgeted(
-            self.f64_engines(state),
-            &state.meta_vars,
-            &self.base_valuation,
-            &scenarios.into(),
-            &budget,
-            init,
-            f,
-        )
-    }
-
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) with a **sound
-    /// per-scenario error bound** instead of the sampled divergence
-    /// probe: a Higham-style running-error accumulator folds a shadow
-    /// bound alongside every evaluated value (the |coefficient| program
-    /// evaluated at |row| times a per-polynomial γ factor), so the
-    /// returned [`F64ErrorBound`] **dominates** the true rounding error
-    /// of coefficient conversion plus kernel evaluation for *every*
-    /// scenario — not just the 16 probed ones. Costs roughly one extra
-    /// kernel pass per side.
+    /// Any [`MergeFold`] plugs in, including tuple compositions (see the
+    /// [`folds`](crate::folds) module example):
     ///
     /// ```
-    /// use cobra_core::{CobraSession, ScenarioSet, SweepBudget};
-    /// use cobra_util::Rat;
-    ///
-    /// let mut session = CobraSession::from_text(
-    ///     "P1 = 208.8*p1*m1 + 240*p1*m3 + 42*v*m1 + 24.2*v*m3",
-    /// ).unwrap();
-    /// session.add_tree_text("Plans(Standard(p1,p2), v)").unwrap();
-    /// session.set_bound(2);
-    /// session.compress().unwrap();
-    /// let m3 = session.registry_mut().var("m3");
-    /// let rat = |s: &str| Rat::parse(s).unwrap();
-    /// let grid = ScenarioSet::grid()
-    ///     .axis([m3], [rat("0.8"), rat("1"), rat("1.2")])
-    ///     .build()
-    ///     .unwrap();
-    ///
-    /// let (outcome, bound) = session
-    ///     .sweep_fold_f64_bounded(&grid, SweepBudget::unlimited(), 0usize, |n, _| n + 1)
-    ///     .unwrap();
-    /// assert_eq!(outcome.into_fold(), 3);
-    /// assert_eq!(bound.scenarios, 3);
-    /// // the sound bound is tiny for well-conditioned inputs…
-    /// assert!(bound.max_rel_bound < 1e-12);
-    /// // …and dominates the measured divergence by construction.
-    /// ```
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// zero scenario cap over a non-empty set.
-    pub fn sweep_fold_f64_bounded<A>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
-        init: A,
-        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
-    ) -> Result<(SweepOutcome<A>, F64ErrorBound)> {
-        let state = self.compressed_state()?;
-        self.engines(state).sweep_fold_f64_bounded(
-            self.f64_engines(state),
-            self.error_shadow(state),
-            &state.meta_vars,
-            &self.base_valuation,
-            &scenarios.into(),
-            &budget,
-            init,
-            f,
-        )
-    }
-
-    /// [`sweep_fold_f64`](Self::sweep_fold_f64) **fanned across cores**:
-    /// the parallel `f64` fast path — per-worker binders, lane-kernel
-    /// scratch and fold replicas, merged in ascending span order, with
-    /// the divergence probes distributed to the workers whose spans
-    /// contain them. Fold output and [`F64Divergence`] are bit-identical
-    /// to the sequential engine at any thread count; at 10⁷ scenarios
-    /// this is the fastest aggregate surface in the crate.
-    ///
-    /// ```
-    /// use cobra_core::folds::{self, Histogram, SweepFold};
-    /// use cobra_core::{CobraSession, ScenarioSet};
+    /// use cobra_core::folds::{self, Histogram};
+    /// use cobra_core::{Approx, CobraSession, ScenarioSet, SweepBudget};
     /// use cobra_util::Rat;
     ///
     /// let mut session = CobraSession::from_text(
@@ -1952,86 +1712,114 @@ impl CobraSession {
     ///     .build()
     ///     .unwrap();
     ///
-    /// let (hist, div) = session
-    ///     .sweep_fold_f64_par(&grid, Histogram::new(0, 0.0, 2000.0, 8))
-    ///     .unwrap();
-    /// assert_eq!(hist.total(), grid.len() as u64);
-    /// assert!(div.max_rel_divergence < 1e-12);
-    /// // bit-identical to the sequential f64 fold engine
-    /// let (seq, _) = session
-    ///     .sweep_fold_f64(&grid, Histogram::new(0, 0.0, 2000.0, 8), folds::step)
-    ///     .unwrap();
-    /// assert_eq!(hist.counts, seq.counts);
+    /// // an outcome histogram on the `f64` fast path, fanned across cores
+    /// let hist = || Histogram::new(0, 0.0, 2000.0, 8);
+    /// let budget = SweepBudget::unlimited();
+    /// let (par, par_div) = session.fold_par::<Approx, _>(&grid, &budget, hist()).unwrap();
+    /// assert_eq!(par.fold().total(), grid.len() as u64);
+    /// assert!(par_div.max_rel_divergence < 1e-12);
+    /// // bit-identical to the ordered fold, divergence probes included
+    /// let (seq, seq_div) = session.sweep_fold_f64(&grid, hist(), folds::step).unwrap();
+    /// assert_eq!(par.fold().counts, seq.counts);
+    /// assert_eq!(par_div.max_rel_divergence, seq_div.max_rel_divergence);
     /// ```
     ///
     /// # Errors
-    /// `Session` if `compress` has not run; `WorkerPanicked` if a worker
-    /// thread panicked mid-sweep (faults are isolated at span boundaries
-    /// and the session remains fully usable).
+    /// As [`fold`](Self::fold), plus `WorkerPanicked` if a worker thread
+    /// panicked mid-sweep (faults are isolated at span boundaries: the
+    /// panic is caught, sibling workers are cancelled, and the session
+    /// remains fully usable).
+    pub fn fold_par<P: Precision, F: MergeFold + Send + Sync>(
+        &self,
+        scenarios: impl Into<ScenarioSet>,
+        budget: &SweepBudget,
+        fold: F,
+    ) -> Result<(SweepOutcome<F>, P::Report)> {
+        let state = self.compressed_state()?;
+        let set = scenarios.into();
+        // Workers catch their own panics at span boundaries, so an exact
+        // overflow arrives as `WorkerPanicked`; the same guard as the
+        // ordered entry remaps it.
+        catch_exact_overflow(move || {
+            self.engines(state).fold_par::<P, F>(
+                P::session_engines(self)?,
+                (&state.meta_vars, &self.base_valuation),
+                &set,
+                budget,
+                fold,
+            )
+        })
+    }
+
+    /// Sugar for [`fold`](Self::fold)`::<`[`Exact`]`, _>` run to
+    /// completion. Results are identical to [`sweep`](Self::sweep) —
+    /// `sweep` *is* this fold with an appending accumulator.
+    ///
+    /// # Errors
+    /// As [`fold`](Self::fold).
+    pub fn sweep_fold<A>(
+        &self,
+        scenarios: impl Into<ScenarioSet>,
+        init: A,
+        f: impl FnMut(A, FoldItem<'_, Rat>) -> A,
+    ) -> Result<A> {
+        let (outcome, ()) = self.fold::<Exact, A>(scenarios, &SweepBudget::unlimited(), init, f)?;
+        Ok(outcome.into_fold())
+    }
+
+    /// Sugar for [`fold`](Self::fold)`::<`[`Approx`]`, _>` run to
+    /// completion: the **approximate `f64` fast path** — the E10
+    /// experiment measures 0.12 µs vs 8.2 µs per scenario (~67×) on the
+    /// paper example at 10⁶ grid points. The [`F64Divergence`] next to the
+    /// fold is a measured spot check of the rounding (not a proven
+    /// worst-case bound); exactness-critical sweeps should use
+    /// [`sweep_fold`](Self::sweep_fold).
+    ///
+    /// # Errors
+    /// As [`fold`](Self::fold).
+    pub fn sweep_fold_f64<A>(
+        &self,
+        scenarios: impl Into<ScenarioSet>,
+        init: A,
+        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
+    ) -> Result<(A, F64Divergence)> {
+        let (outcome, divergence) =
+            self.fold::<Approx, A>(scenarios, &SweepBudget::unlimited(), init, f)?;
+        Ok((outcome.into_fold(), divergence))
+    }
+
+    /// Sugar for [`fold`](Self::fold)`::<`[`Certified`]`, _>`: the `f64`
+    /// fast path with a **sound per-scenario error bound** instead of the
+    /// sampled divergence probe, for roughly one extra kernel pass per
+    /// side.
+    ///
+    /// # Errors
+    /// As [`fold`](Self::fold).
+    pub fn sweep_fold_f64_bounded<A>(
+        &self,
+        scenarios: impl Into<ScenarioSet>,
+        budget: SweepBudget,
+        init: A,
+        f: impl FnMut(A, FoldItem<'_, f64>) -> A,
+    ) -> Result<(SweepOutcome<A>, F64ErrorBound)> {
+        self.fold::<Certified, A>(scenarios, &budget, init, f)
+    }
+
+    /// Sugar for [`fold_par`](Self::fold_par)`::<`[`Approx`]`, _>` run to
+    /// completion: the parallel `f64` fast path, with the divergence
+    /// probes distributed to the workers whose spans contain them; at
+    /// 10⁷ scenarios this is the fastest aggregate surface in the crate.
+    ///
+    /// # Errors
+    /// As [`fold_par`](Self::fold_par).
     pub fn sweep_fold_f64_par<F: MergeFold + Send + Sync>(
         &self,
         scenarios: impl Into<ScenarioSet>,
         fold: F,
     ) -> Result<(F, F64Divergence)> {
         let (outcome, divergence) =
-            self.sweep_fold_f64_par_budgeted(scenarios, SweepBudget::unlimited(), fold)?;
+            self.fold_par::<Approx, F>(scenarios, &SweepBudget::unlimited(), fold)?;
         Ok((outcome.into_fold(), divergence))
-    }
-
-    /// [`sweep_fold_f64_par`](Self::sweep_fold_f64_par) under a
-    /// [`SweepBudget`]: the fastest aggregate surface in the crate, now
-    /// interruptible — workers poll the budget between lane-kernel
-    /// blocks, and partial results are the exact in-order merge of the
-    /// completed span prefixes, bit-identical to a sequential budgeted
-    /// run over the same prefix.
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// zero scenario cap over a non-empty set; `WorkerPanicked` if a
-    /// worker thread panicked (the session remains usable).
-    pub fn sweep_fold_f64_par_budgeted<F: MergeFold + Send + Sync>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
-        fold: F,
-    ) -> Result<(SweepOutcome<F>, F64Divergence)> {
-        let state = self.compressed_state()?;
-        self.engines(state).sweep_fold_f64_par_budgeted(
-            self.f64_engines(state),
-            &state.meta_vars,
-            &self.base_valuation,
-            &scenarios.into(),
-            &budget,
-            fold,
-        )
-    }
-
-    /// [`sweep_fold_f64_bounded`](Self::sweep_fold_f64_bounded) **fanned
-    /// across cores**: the parallel `f64` fast path with the sound
-    /// Higham running-error bound folded per worker and merged in span
-    /// order — the [`F64ErrorBound`] is bit-identical to the sequential
-    /// bounded sweep at any thread count.
-    ///
-    /// # Errors
-    /// `Session` if `compress` has not run; `InfeasibleBudget` for a
-    /// zero scenario cap over a non-empty set; `WorkerPanicked` if a
-    /// worker thread panicked (the session remains usable).
-    pub fn sweep_fold_f64_bounded_par<F: MergeFold + Send + Sync>(
-        &self,
-        scenarios: impl Into<ScenarioSet>,
-        budget: SweepBudget,
-        fold: F,
-    ) -> Result<(SweepOutcome<F>, F64ErrorBound)> {
-        let state = self.compressed_state()?;
-        self.engines(state).sweep_fold_f64_bounded_par(
-            self.f64_engines(state),
-            self.error_shadow(state),
-            &state.meta_vars,
-            &self.base_valuation,
-            &scenarios.into(),
-            &budget,
-            fold,
-        )
     }
 
     /// Evaluates a scenario family approximately (`f64` lane kernel on
@@ -2922,10 +2710,27 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             Err(CoreError::ExactOverflow(_))
         ));
         // …and so does the fanned-out engine (worker panic remapped)
+        let unlimited = SweepBudget::unlimited();
+        let worst = crate::folds::MaxAbsError::new;
         assert!(matches!(
-            s.sweep_fold_par(&all_ones[..], crate::folds::MaxAbsError::new()),
+            s.fold_par::<Exact, _>(&all_ones[..], &unlimited, worst()),
             Err(CoreError::ExactOverflow(_))
         ));
+        // the approximate precision runs the same exact arithmetic in its
+        // divergence probes: same typed error, ordered and fanned out
+        assert!(matches!(
+            s.sweep_fold_f64(&all_ones[..], (), |(), _| ()),
+            Err(CoreError::ExactOverflow(_))
+        ));
+        assert!(matches!(
+            s.sweep_fold_f64_par(&all_ones[..], worst()),
+            Err(CoreError::ExactOverflow(_))
+        ));
+        // the certified precision runs no exact arithmetic at all
+        assert!(s
+            .sweep_fold_f64_bounded(&all_ones[..], unlimited.clone(), (), |(), _| ())
+            .is_ok());
+        assert!(s.fold_par::<Certified, _>(&all_ones[..], &unlimited, worst()).is_ok());
         // the session stays fully usable on non-overflowing scenarios
         let a = s.registry_mut().var("a");
         let safe = Valuation::with_default(Rat::ONE).bind(a, Rat::int(0));

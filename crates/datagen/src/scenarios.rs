@@ -168,7 +168,7 @@ pub fn telephony_grid_steps(reg: &mut VarRegistry, steps: [usize; 3]) -> Scenari
 /// description (`[100; 4]` is a 10⁸-point family) and every axis still
 /// moves a whole tree group (compression stays lossless across the
 /// grid). This is the scale knob for the parallel fold-combine engines
-/// (`sweep_fold_par` and friends), whose per-worker streaming makes such
+/// (`fold_par::<P>` and its sugar), whose per-worker streaming makes such
 /// families tractable.
 pub fn telephony_grid4(reg: &mut VarRegistry, steps: [usize; 4]) -> ScenarioSet {
     let rat = |s: &str| Rat::parse(s).expect("grid bound literal");

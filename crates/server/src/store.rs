@@ -38,7 +38,7 @@
 
 use crate::json::Json;
 use crate::proto::{WireDeltaAction, WireDeltaOp};
-use cobra_core::{restore_session, snapshot_session, CobraSession, CoreError, PolyDelta,
+use cobra_core::{restore_session, snapshot_session, Approx, CobraSession, CoreError, PolyDelta,
     ScenarioSet, SweepBudget, SweepOutcome};
 use cobra_provenance::parse::parse_poly;
 use cobra_provenance::persist::{write_file, PersistError};
@@ -692,21 +692,14 @@ fn totals_fold(
         acc.push((full, comp));
         acc
     };
-    match deadline_ms {
-        None => {
-            let (rows, div) = session
-                .sweep_fold_f64(set, Vec::new(), fold)
-                .map_err(session_err)?;
-            Ok((SweepOutcome::Complete(rows), div.max_rel_divergence))
-        }
-        Some(ms) => {
-            let budget = SweepBudget::unlimited().with_deadline(Duration::from_millis(ms));
-            let (outcome, div) = session
-                .sweep_fold_f64_budgeted(set, budget, Vec::new(), fold)
-                .map_err(session_err)?;
-            Ok((outcome, div.max_rel_divergence))
-        }
-    }
+    let budget = match deadline_ms {
+        None => SweepBudget::unlimited(),
+        Some(ms) => SweepBudget::unlimited().with_deadline(Duration::from_millis(ms)),
+    };
+    let (outcome, div) = session
+        .fold::<Approx, _>(set, &budget, Vec::new(), fold)
+        .map_err(session_err)?;
+    Ok((outcome, div.max_rel_divergence))
 }
 
 fn rows_json(rows: &[(f64, f64)]) -> Json {

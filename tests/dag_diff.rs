@@ -26,7 +26,7 @@
 
 use cobra::core::folds::{self, MergeFold, SweepFold};
 use cobra::core::scenario::FoldItem;
-use cobra::core::{CobraSession, PolyDelta, ScenarioSet, SweepBudget};
+use cobra::core::{CobraSession, Exact, PolyDelta, ScenarioSet, SweepBudget};
 use cobra::provenance::dag;
 use cobra::provenance::{
     parse_polyset, BatchEvaluator, Coeff, DagOptions, Monomial, VarRegistry,
@@ -133,8 +133,13 @@ fn exact_rows_par(
     threads: usize,
 ) -> Rows<Rat> {
     with_threads(threads, || {
-        kernel::with_target(t, || s.sweep_fold_par(grid, Collect::<Rat>::new()).unwrap())
+        kernel::with_target(t, || {
+            s.fold_par::<Exact, _>(grid, &SweepBudget::unlimited(), Collect::<Rat>::new())
+                .unwrap()
+        })
     })
+    .0
+    .into_fold()
     .finish()
 }
 

@@ -22,7 +22,7 @@
 
 use cobra::core::folds::{self, MergeFold, SweepFold};
 use cobra::core::scenario::FoldItem;
-use cobra::core::{CobraSession, CoreError, PolyDelta, ScenarioSet};
+use cobra::core::{Certified, CobraSession, CoreError, Exact, PolyDelta, ScenarioSet, SweepBudget};
 use cobra::provenance::{Coeff, Monomial, Valuation, VarRegistry};
 use cobra::util::kernel::{self, KernelTarget};
 use cobra::util::par::with_threads;
@@ -159,8 +159,13 @@ fn exact_rows_seq(s: &CobraSession, grid: &ScenarioSet, t: KernelTarget) -> Rows
 
 fn exact_rows_par(s: &CobraSession, grid: &ScenarioSet, t: KernelTarget, threads: usize) -> Rows<Rat> {
     with_threads(threads, || {
-        kernel::with_target(t, || s.sweep_fold_par(grid, Collect::<Rat>::new()).unwrap())
+        kernel::with_target(t, || {
+            s.fold_par::<Exact, _>(grid, &SweepBudget::unlimited(), Collect::<Rat>::new())
+                .unwrap()
+        })
     })
+    .0
+    .into_fold()
     .finish()
 }
 
@@ -304,19 +309,37 @@ proptest! {
 
         let swept = s.sweep(&grid);
         let folded = s.sweep_fold(&grid, Collect::<Rat>::new(), folds::step);
-        let par = with_threads(2, || s.sweep_fold_par(&grid, Collect::<Rat>::new()));
+        let unlimited = SweepBudget::unlimited();
+        let par = with_threads(2, || {
+            s.fold_par::<Exact, _>(&grid, &unlimited, Collect::<Rat>::new())
+        });
+        // The approximate precision re-runs its probes on the exact
+        // engines, so it overflows exactly when they do.
+        let approx = s.sweep_fold_f64(&grid, Collect::<f64>::new(), folds::step);
+        let approx_par = with_threads(2, || s.sweep_fold_f64_par(&grid, Collect::<f64>::new()));
         if overflows {
             prop_assert!(matches!(swept, Err(CoreError::ExactOverflow(_))));
             prop_assert!(matches!(folded, Err(CoreError::ExactOverflow(_))));
             prop_assert!(matches!(par, Err(CoreError::ExactOverflow(_))));
+            prop_assert!(matches!(approx, Err(CoreError::ExactOverflow(_))));
+            prop_assert!(matches!(approx_par, Err(CoreError::ExactOverflow(_))));
         } else {
             prop_assert!(swept.is_ok());
             let want = Rat::new(c.checked_mul(k as i128).unwrap(), 1);
             let rows = folded.unwrap().finish();
             prop_assert_eq!(&rows[0].1, &vec![want]);
             prop_assert_eq!(&rows[0].2, &vec![want]);
-            prop_assert_eq!(&par.unwrap().finish(), &rows);
+            prop_assert_eq!(&par.unwrap().0.into_fold().finish(), &rows);
+            prop_assert!(approx.is_ok());
+            prop_assert!(approx_par.is_ok());
         }
+        // The certified precision runs no exact arithmetic: always Ok.
+        let certified = s.sweep_fold_f64_bounded(&grid, unlimited.clone(), (), |(), _| ());
+        let certified_par = with_threads(2, || {
+            s.fold_par::<Certified, _>(&grid, &unlimited, Collect::<f64>::new())
+        });
+        prop_assert!(certified.is_ok());
+        prop_assert!(certified_par.is_ok());
 
         // Either way the session is live: zeroing all leaves but one
         // brings the sum back in range and the answer is exact.

@@ -1,6 +1,6 @@
-//! Cross-engine differential suite (ISSUE 4): the zoo of sweep engines —
+//! Cross-engine differential suite (ISSUE 4): the sweep surfaces —
 //! materialized exact (`sweep`), streamed exact (`sweep_fold`), parallel
-//! exact (`sweep_fold_par`), per-scenario (`assign`), and the `f64`
+//! exact (`fold_par::<Exact>`), per-scenario (`assign`), and the `f64`
 //! variants — must agree on random `ScenarioSet`s. Exact engines are
 //! pinned **bit-identical** to each other at 1, 2 and 8 worker threads
 //! (via `par::with_threads`, which scopes the override to this test's
@@ -11,8 +11,8 @@
 use cobra::core::folds::{self, ArgmaxImpact, Histogram, MaxAbsError, MergeFold, SweepFold, TopK};
 use cobra::core::scenario::FoldItem;
 use cobra::core::{
-    fold_program_sweep, fold_program_sweep_par, forest_sweep, forest_sweep_fold_par,
-    CobraSession, ScenarioSet,
+    fold_program_sweep_par, forest_sweep, CobraSession, CompiledComparison, Exact, ScenarioSet,
+    SweepBudget,
 };
 use cobra::provenance::{BatchEvaluator, Coeff, Valuation};
 use cobra::util::par::with_threads;
@@ -42,6 +42,12 @@ fn compressed_session(bound: u64) -> CobraSession {
     s.set_bound(bound);
     s.compress().unwrap();
     s
+}
+
+/// The unbudgeted parallel exact fold — `fold_par::<Exact>` to completion.
+fn par_exact<F: MergeFold + Send + Sync>(s: &CobraSession, set: &ScenarioSet, fold: F) -> F {
+    let (outcome, ()) = s.fold_par::<Exact, _>(set, &SweepBudget::unlimited(), fold).unwrap();
+    outcome.into_fold()
 }
 
 /// A differential collector: records every scenario's index and both
@@ -144,8 +150,8 @@ fn build_family(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// sweep ≡ sweep_fold ≡ sweep_fold_par ≡ per-scenario assign, bit for
-    /// bit, on random families for 1/2/8 worker threads.
+    /// sweep ≡ sweep_fold ≡ fold_par::<Exact> ≡ per-scenario assign, bit
+    /// for bit, on random families for 1/2/8 worker threads.
     #[test]
     fn exact_engines_agree_at_all_thread_counts(
         shape in family_strategy(),
@@ -176,10 +182,8 @@ proptest! {
 
         // Engine 3: the parallel fold engine at every thread count.
         for threads in THREAD_MATRIX {
-            let par = with_threads(threads, || {
-                s.sweep_fold_par(&family, Collect::<Rat>::new()).unwrap()
-            })
-            .finish();
+            let par = with_threads(threads, || par_exact(&s, &family, Collect::<Rat>::new()))
+                .finish();
             prop_assert_eq!(&par, &folded, "threads {}", threads);
         }
 
@@ -232,10 +236,8 @@ proptest! {
         };
 
         for threads in THREAD_MATRIX {
-            let (w, a, t) = with_threads(threads, || {
-                s.sweep_fold_par(&family, proto.init()).unwrap()
-            })
-            .finish();
+            let (w, a, t) =
+                with_threads(threads, || par_exact(&s, &family, proto.init())).finish();
             prop_assert_eq!(w.max_abs_error, seq_w.max_abs_error, "threads {}", threads);
             prop_assert_eq!(w.argmax_abs, seq_w.argmax_abs, "threads {}", threads);
             prop_assert_eq!(w.max_rel_error, seq_w.max_rel_error, "threads {}", threads);
@@ -243,9 +245,7 @@ proptest! {
             prop_assert_eq!(a, seq_a, "threads {}", threads);
             prop_assert_eq!(&t, &seq_t, "threads {}", threads);
 
-            let h = with_threads(threads, || {
-                s.sweep_fold_par(&family, hist_proto.init()).unwrap()
-            });
+            let h = with_threads(threads, || par_exact(&s, &family, hist_proto.init()));
             prop_assert_eq!(&h.counts, &seq_h.counts, "threads {}", threads);
             prop_assert_eq!(h.underflow, seq_h.underflow, "threads {}", threads);
             prop_assert_eq!(h.overflow, seq_h.overflow, "threads {}", threads);
@@ -315,9 +315,9 @@ proptest! {
         }
     }
 
-    /// The single-engine fold pair: fold_program_sweep_par ≡
-    /// fold_program_sweep at 1/2/8 threads, bit for bit (the parallel
-    /// item's compressed side is empty by contract).
+    /// The single-engine fold: fold_program_sweep_par ≡ evaluating the
+    /// scenarios one by one on the sparse polynomials, at 1/2/8 threads,
+    /// bit for bit (the item's compressed side is empty by contract).
     #[test]
     fn single_engine_folds_agree_at_all_thread_counts(
         m3_levels in levels_strategy(),
@@ -332,16 +332,12 @@ proptest! {
             .scale_axis([reg.var("y1")], y1_levels)
             .build()
             .unwrap();
-        let seq = fold_program_sweep(
-            &evaluator,
-            &base,
-            &grid,
-            Vec::new(),
-            |mut acc: Vec<(usize, Vec<Rat>)>, i, results| {
-                acc.push((i, results.to_vec()));
-                acc
-            },
-        );
+        let seq: Vec<(usize, Vec<Rat>)> = (0..grid.len())
+            .map(|i| {
+                let val = base.overridden_by(&grid.scenario_valuation(i, &base));
+                (i, set.eval(&val).unwrap().into_iter().map(|(_, v)| v).collect())
+            })
+            .collect();
         for threads in THREAD_MATRIX {
             let par = with_threads(threads, || {
                 fold_program_sweep_par(&evaluator, &base, &grid, Collect::<Rat>::new())
@@ -378,8 +374,18 @@ fn forest_parallel_fold_matches_forest_sweep() {
     let sweep = forest_sweep(&set, &applied, &base, &grid);
     for threads in THREAD_MATRIX {
         let rows = with_threads(threads, || {
-            forest_sweep_fold_par(&set, &applied, &base, &grid, Collect::<Rat>::new())
+            CompiledComparison::compile(&set, &applied.compressed)
+                .fold_par::<Exact, _>(
+                    (),
+                    (&applied.meta_vars, &base),
+                    &grid,
+                    &SweepBudget::unlimited(),
+                    Collect::<Rat>::new(),
+                )
+                .unwrap()
         })
+        .0
+        .into_fold()
         .finish();
         assert_eq!(rows.len(), sweep.len());
         for (i, full, comp) in &rows {
@@ -425,11 +431,11 @@ fn argmax_and_topk_ties_resolve_identically_in_parallel() {
     );
     for threads in THREAD_MATRIX {
         let (best, top) = with_threads(threads, || {
-            s.sweep_fold_par(
+            par_exact(
+                &s,
                 &grid,
                 (ArgmaxImpact::against(base.clone()), TopK::new(0, 4)),
             )
-            .unwrap()
         });
         assert_eq!(best.best(), seq_best, "threads {threads}");
         assert_eq!(top.finish(), seq_top, "threads {threads}");

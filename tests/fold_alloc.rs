@@ -10,7 +10,7 @@
 //! costs hundreds of megabytes and fails immediately.
 //!
 //! The same test then re-runs the grid through the **parallel** fold
-//! engine (`sweep_fold_par`, ISSUE 4) at 4 workers and proves its budget
+//! engine (`fold_par::<Exact>`, ISSUE 4) at 4 workers and proves its budget
 //! is O(workers): each worker owns one set of bind/result block buffers
 //! plus a fold replica, so the parallel pass costs a few worker-sized
 //! constants — not O(scenarios), and not O(blocks) either (per-worker
@@ -23,7 +23,7 @@
 
 use cobra::core::folds::{self, MaxAbsError};
 use cobra::core::scenario_set::Axis;
-use cobra::core::{CobraSession, ScenarioSet};
+use cobra::core::{CobraSession, Exact, ScenarioSet, SweepBudget};
 use cobra::util::Rat;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,7 +133,10 @@ fn million_scenario_grid_folds_within_constant_budget() {
     let workers = 4usize;
     let before = ALLOCATED.load(Ordering::SeqCst);
     let par_worst = cobra::util::par::with_threads(workers, || {
-        s.sweep_fold_par(&grid, MaxAbsError::new()).unwrap()
+        s.fold_par::<Exact, _>(&grid, &SweepBudget::unlimited(), MaxAbsError::new())
+            .unwrap()
+            .0
+            .into_fold()
     });
     let allocated = ALLOCATED.load(Ordering::SeqCst) - before;
     let budget = workers * 1024 * 1024;

@@ -5,7 +5,9 @@
 //! included), and the built-in folds wired through a real session.
 
 use cobra::core::folds::{self, ArgmaxImpact, Histogram, MaxAbsError, SweepFold, TopK};
-use cobra::core::{forest_sweep, forest_sweep_fold, CobraSession, ScenarioSet};
+use cobra::core::{
+    forest_sweep, CobraSession, CompiledComparison, Exact, ScenarioSet, SweepBudget,
+};
 use cobra::util::Rat;
 use proptest::prelude::*;
 
@@ -206,17 +208,21 @@ fn forest_sweep_fold_matches_forest_sweep() {
         .build()
         .unwrap();
     let sweep = forest_sweep(&set, &applied, &base, &grid);
-    let rows = forest_sweep_fold(
-        &set,
-        &applied,
-        &base,
-        &grid,
-        Vec::new(),
-        |mut acc: Vec<(Vec<Rat>, Vec<Rat>)>, item| {
-            acc.push((item.full.to_vec(), item.compressed.to_vec()));
-            acc
-        },
-    );
+    let rows = CompiledComparison::compile(&set, &applied.compressed)
+        .fold::<Exact, _>(
+            (),
+            (&applied.meta_vars, &base),
+            &grid,
+            &SweepBudget::unlimited(),
+            Vec::new(),
+            |mut acc: Vec<(Vec<Rat>, Vec<Rat>)>, item| {
+                acc.push((item.full.to_vec(), item.compressed.to_vec()));
+                acc
+            },
+        )
+        .unwrap()
+        .0
+        .into_fold();
     assert_eq!(rows.len(), sweep.len());
     for (i, (full, comp)) in rows.iter().enumerate() {
         assert_eq!(full.as_slice(), sweep.full_row(i));

@@ -18,7 +18,7 @@
 
 use cobra::core::folds::{self, MergeFold, SweepFold};
 use cobra::core::scenario::FoldItem;
-use cobra::core::{CobraSession, ScenarioSet, SweepBudget};
+use cobra::core::{CobraSession, Exact, ScenarioSet, SweepBudget};
 use cobra::provenance::{
     compile_f64, parse_polyset, BatchEvaluator, Coeff, FixedScratch, VarRegistry,
 };
@@ -413,9 +413,12 @@ proptest! {
                 prop_assert_eq!(&seq, &exact_ref, "seq target {}", t);
                 let par = with_threads(threads, || {
                     kernel::with_target(t, || {
-                        s.sweep_fold_par(&grid, Collect::<Rat>::new()).unwrap()
+                        s.fold_par::<Exact, _>(&grid, &SweepBudget::unlimited(), Collect::<Rat>::new())
+                            .unwrap()
                     })
                 })
+                .0
+                .into_fold()
                 .finish();
                 prop_assert_eq!(&par, &exact_ref, "par target {} threads {}", t, threads);
             }

@@ -13,9 +13,10 @@
 
 use std::time::Duration;
 
-use cobra::core::folds::{MergeFold, SweepFold};
+use cobra::core::folds::{self, MergeFold, SweepFold};
 use cobra::core::{
-    CobraSession, CoreError, FoldItem, ScenarioSet, StopReason, SweepBudget, SweepOutcome,
+    Approx, Certified, CobraSession, CoreError, Exact, FoldItem, Precision, ScenarioSet,
+    StopReason, SweepBudget, SweepOutcome,
 };
 use cobra::provenance::Coeff;
 use cobra::util::faults::{self, with_faults, FaultPlan, INJECTED_PANIC};
@@ -75,71 +76,80 @@ fn grid(s: &mut CobraSession, n_m3: i64, n_p1: i64) -> ScenarioSet {
         .unwrap()
 }
 
-/// A capped parallel fold is bit-identical to the sequential budgeted
-/// fold over the same prefix, at every thread count and for caps on,
-/// inside, and past block boundaries (blocks are 1024 scenarios here).
-#[test]
-fn capped_partial_is_exact_prefix_at_any_thread_count() {
+/// The unbudgeted parallel exact fold of the whole set into a [`Trace`].
+fn par_exact(s: &CobraSession, set: &ScenarioSet) -> Result<Trace, CoreError> {
+    let (outcome, ()) = s.fold_par::<Exact, _>(set, &SweepBudget::unlimited(), Trace::default())?;
+    Ok(outcome.into_fold())
+}
+
+/// The one contract behind every budgeted surface, with the precision as
+/// the parameter: `fold_par::<P>` at 1/2/4 threads is bit-identical to
+/// `fold::<P>` under the same budget — fold state, `scenarios_done`,
+/// `StopReason` **and** `P::Report` (divergence probes, Higham bound) —
+/// for an unlimited budget, a pre-cancelled token, an expired deadline,
+/// and scenario caps on, inside, and past block boundaries (blocks are
+/// 1024 scenarios here).
+fn par_fold_equals_ordered_fold_over_the_same_prefix<P: Precision>() {
     with_faults(FaultPlan::default(), || {
         let mut s = session();
         let set = grid(&mut s, 60, 50); // 3000 scenarios ⇒ several blocks
         let n = set.len();
-        for cap in [1usize, 7, 1024, 1500, 2048, 2999, n, n + 512] {
-            let budget = SweepBudget::unlimited().with_scenario_cap(cap);
-            let seq = s
-                .sweep_fold_budgeted(&set, budget.clone(), Trace::default(), |mut t, item| {
-                    t.accept(item);
-                    t
-                })
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let mut budgets = vec![
+            SweepBudget::unlimited(),
+            SweepBudget::unlimited().with_cancel_token(tripped),
+            SweepBudget::unlimited().with_deadline(Duration::ZERO),
+        ];
+        budgets.extend(
+            [1usize, 7, 1024, 1500, 2048, 2999, n, n + 512]
+                .map(|cap| SweepBudget::unlimited().with_scenario_cap(cap)),
+        );
+        for budget in &budgets {
+            let (seq, seq_report) = s
+                .fold::<P, _>(&set, budget, Trace::default(), folds::step)
                 .unwrap();
-            if cap < n {
-                assert_eq!(seq.scenarios_done(), Some(cap));
-                assert_eq!(seq.stop_reason(), Some(StopReason::ScenarioCap));
-                assert_eq!(seq.fold().0.len(), cap);
-            } else {
-                assert!(seq.is_complete());
-                assert_eq!(seq.fold().0.len(), n);
+            match budget.scenario_cap() {
+                Some(cap) if cap < n => {
+                    assert_eq!(seq.scenarios_done(), Some(cap));
+                    assert_eq!(seq.stop_reason(), Some(StopReason::ScenarioCap));
+                    assert_eq!(seq.fold().0.len(), cap);
+                }
+                Some(_) => {
+                    assert!(seq.is_complete());
+                    assert_eq!(seq.fold().0.len(), n);
+                }
+                None => {}
             }
             for threads in [1, 2, 4] {
-                let par_outcome = par::with_threads(threads, || {
-                    s.sweep_fold_par_budgeted(&set, budget.clone(), Trace::default())
-                        .unwrap()
+                let (par_outcome, par_report) = par::with_threads(threads, || {
+                    s.fold_par::<P, _>(&set, budget, Trace::default()).unwrap()
                 });
-                assert_eq!(par_outcome, seq, "cap {cap} × {threads} threads");
+                assert_eq!(par_outcome, seq, "{budget:?} × {threads} threads");
+                // `Debug` round-trips `f64` exactly: equal strings, equal bits
+                assert_eq!(
+                    format!("{par_report:?}"),
+                    format!("{seq_report:?}"),
+                    "{budget:?} × {threads} threads"
+                );
             }
         }
     });
 }
 
-/// Same contract on the `f64` fast path, divergence probes included: the
-/// probes of a capped run are exactly those of a sequential capped run.
+#[test]
+fn capped_partial_is_exact_prefix_at_any_thread_count() {
+    par_fold_equals_ordered_fold_over_the_same_prefix::<Exact>();
+}
+
 #[test]
 fn capped_f64_partial_matches_sequential_including_divergence() {
-    with_faults(FaultPlan::default(), || {
-        let mut s = session();
-        let set = grid(&mut s, 60, 40); // 2400 scenarios
-        for cap in [5usize, 1024, 2000, 2400] {
-            let budget = SweepBudget::unlimited().with_scenario_cap(cap);
-            let (seq, seq_div) = s
-                .sweep_fold_f64_budgeted(&set, budget.clone(), Trace::default(), |mut t, item| {
-                    t.accept(item);
-                    t
-                })
-                .unwrap();
-            for threads in [1, 2, 4] {
-                let (par_outcome, par_div) = par::with_threads(threads, || {
-                    s.sweep_fold_f64_par_budgeted(&set, budget.clone(), Trace::default())
-                        .unwrap()
-                });
-                assert_eq!(par_outcome, seq, "cap {cap} × {threads} threads");
-                assert_eq!(par_div.probed, seq_div.probed);
-                assert_eq!(
-                    par_div.max_rel_divergence.to_bits(),
-                    seq_div.max_rel_divergence.to_bits()
-                );
-            }
-        }
-    });
+    par_fold_equals_ordered_fold_over_the_same_prefix::<Approx>();
+}
+
+#[test]
+fn capped_certified_partial_matches_sequential_including_bound() {
+    par_fold_equals_ordered_fold_over_the_same_prefix::<Certified>();
 }
 
 /// A token tripped before the sweep starts yields an empty exact partial
@@ -154,8 +164,8 @@ fn pre_tripped_token_and_expired_deadline_stop_before_work() {
         token.cancel();
         let budget = SweepBudget::unlimited().with_cancel_token(token);
         for threads in [1, 4] {
-            let outcome = par::with_threads(threads, || {
-                s.sweep_fold_par_budgeted(&set, budget.clone(), Trace::default())
+            let (outcome, ()) = par::with_threads(threads, || {
+                s.fold_par::<Exact, _>(&set, &budget, Trace::default())
                     .unwrap()
             });
             assert_eq!(
@@ -169,11 +179,8 @@ fn pre_tripped_token_and_expired_deadline_stop_before_work() {
         }
         // an already-expired deadline behaves the same, with its own reason
         let expired = SweepBudget::unlimited().with_deadline(Duration::ZERO);
-        let outcome = s
-            .sweep_fold_budgeted(&set, expired, Trace::default(), |mut t, item| {
-                t.accept(item);
-                t
-            })
+        let (outcome, ()) = s
+            .fold::<Exact, _>(&set, &expired, Trace::default(), folds::step)
             .unwrap();
         assert_eq!(outcome.stop_reason(), Some(StopReason::Deadline));
         assert_eq!(outcome.scenarios_done(), Some(0));
@@ -202,8 +209,8 @@ fn mid_flight_cancel_partial_equals_capped_rerun() {
             std::thread::sleep(Duration::from_millis(3));
             token.cancel();
         });
-        let outcome = par::with_threads(4, || {
-            s.sweep_fold_par_budgeted(&set, budget, Trace::default())
+        let (outcome, ()) = par::with_threads(4, || {
+            s.fold_par::<Exact, _>(&set, &budget, Trace::default())
                 .unwrap()
         });
         canceller.join().unwrap();
@@ -218,15 +225,12 @@ fn mid_flight_cancel_partial_equals_capped_rerun() {
                 if scenarios_done == 0 {
                     return; // nothing completed before the trip — fine
                 }
-                let rerun = s
-                    .sweep_fold_budgeted(
+                let (rerun, ()) = s
+                    .fold::<Exact, _>(
                         &set,
-                        SweepBudget::unlimited().with_scenario_cap(scenarios_done),
+                        &SweepBudget::unlimited().with_scenario_cap(scenarios_done),
                         Trace::default(),
-                        |mut t, item| {
-                            t.accept(item);
-                            t
-                        },
+                        folds::step,
                     )
                     .unwrap();
                 assert_eq!(fold, rerun.fold());
@@ -254,7 +258,7 @@ fn injected_span_panic_surfaces_as_worker_panicked() {
     let mut s = session();
     let set = grid(&mut s, 20, 10);
     let result = with_faults(FaultPlan::panic_on_span(1), || {
-        par::with_threads(4, || s.sweep_fold_par(&set, Trace::default()))
+        par::with_threads(4, || par_exact(&s, &set))
     });
     match result {
         Err(CoreError::WorkerPanicked(msg)) => {
@@ -270,7 +274,7 @@ fn injected_span_panic_surfaces_as_worker_panicked() {
                 t
             })
             .unwrap();
-        let par_fold = par::with_threads(4, || s.sweep_fold_par(&set, Trace::default()).unwrap());
+        let par_fold = par::with_threads(4, || par_exact(&s, &set).unwrap());
         assert_eq!(par_fold, seq);
         assert_eq!(seq.0.len(), set.len());
     });
@@ -319,7 +323,7 @@ fn injected_delays_never_change_results() {
     };
     let delayed = with_faults(plan, || {
         assert!(faults::armed());
-        par::with_threads(4, || s.sweep_fold_par(&set, Trace::default()).unwrap())
+        par::with_threads(4, || par_exact(&s, &set).unwrap())
     });
     assert_eq!(delayed, reference);
 }
@@ -379,7 +383,7 @@ fn higham_bound_dominates_measured_error_and_is_deterministic() {
         // same certificate at any thread count
         for threads in [1, 2, 4] {
             let (par_outcome, par_bound) = par::with_threads(threads, || {
-                s.sweep_fold_f64_bounded_par(&set, SweepBudget::unlimited(), Trace::default())
+                s.fold_par::<Certified, _>(&set, &SweepBudget::unlimited(), Trace::default())
                     .unwrap()
             });
             assert!(par_outcome.is_complete());
@@ -396,7 +400,7 @@ fn higham_bound_dominates_measured_error_and_is_deterministic() {
 #[test]
 fn forest_sweep_honours_budgets_too() {
     with_faults(FaultPlan::default(), || {
-        use cobra::core::{apply_cuts, forest_sweep_fold_budgeted, optimize_forest_descent};
+        use cobra::core::{apply_cuts, optimize_forest_descent, CompiledComparison};
         use cobra::provenance::{parse_polyset, Valuation, VarRegistry};
 
         let mut reg = VarRegistry::new();
@@ -412,16 +416,16 @@ fn forest_sweep_honours_budgets_too() {
             .build()
             .unwrap();
         let budget = SweepBudget::unlimited().with_scenario_cap(13);
-        let outcome = forest_sweep_fold_budgeted(
-            &set,
-            &applied,
-            &Valuation::with_default(Rat::ONE),
-            &scenarios,
-            &budget,
-            0usize,
-            |n, _| n + 1,
-        )
-        .unwrap();
+        let (outcome, ()) = CompiledComparison::compile(&set, &applied.compressed)
+            .fold::<Exact, _>(
+                (),
+                (&applied.meta_vars, &Valuation::with_default(Rat::ONE)),
+                &scenarios,
+                &budget,
+                0usize,
+                |n, _| n + 1,
+            )
+            .unwrap();
         assert_eq!(outcome.scenarios_done(), Some(13));
         assert_eq!(*outcome.fold(), 13);
     });

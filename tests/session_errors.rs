@@ -2,7 +2,7 @@
 //! infeasibility mode surfaces as a typed, actionable error (the demo UI
 //! relies on these to guide the analyst's bound choice).
 
-use cobra::core::{CobraSession, CoreError, ScenarioSet, SweepBudget};
+use cobra::core::{Approx, CobraSession, CoreError, Exact, ScenarioSet, SweepBudget};
 use cobra::provenance::Valuation;
 use cobra::util::faults::{with_faults, FaultPlan, INJECTED_PANIC};
 use cobra::util::{par, CancelToken, Rat};
@@ -131,11 +131,11 @@ fn zero_scenario_cap_is_infeasible_budget() {
     let (s, grid) = sweep_fixture();
     let budget = SweepBudget::unlimited().with_scenario_cap(0);
     assert!(matches!(
-        s.sweep_fold_budgeted(&grid, budget.clone(), 0usize, |n, _| n + 1),
+        s.fold::<Exact, _>(&grid, &budget, 0usize, |n, _| n + 1),
         Err(CoreError::InfeasibleBudget(_))
     ));
     assert!(matches!(
-        s.sweep_fold_f64_par_budgeted(&grid, budget, cobra::core::folds::MaxAbsError::new()),
+        s.fold_par::<Approx, _>(&grid, &budget, cobra::core::folds::MaxAbsError::new()),
         Err(CoreError::InfeasibleBudget(_))
     ));
 }
@@ -148,8 +148,8 @@ fn demanding_completeness_maps_partials_to_typed_errors() {
         let (s, grid) = sweep_fixture();
         // an expired deadline → Partial → DeadlineExceeded on into_complete
         let expired = SweepBudget::unlimited().with_deadline(Duration::ZERO);
-        let outcome = s
-            .sweep_fold_budgeted(&grid, expired, 0usize, |n, _| n + 1)
+        let (outcome, ()) = s
+            .fold::<Exact, _>(&grid, &expired, 0usize, |n, _| n + 1)
             .unwrap();
         assert!(matches!(
             outcome.into_complete(),
@@ -159,8 +159,8 @@ fn demanding_completeness_maps_partials_to_typed_errors() {
         let token = CancelToken::new();
         token.cancel();
         let cancelled = SweepBudget::unlimited().with_cancel_token(token);
-        let outcome = s
-            .sweep_fold_budgeted(&grid, cancelled, 0usize, |n, _| n + 1)
+        let (outcome, ()) = s
+            .fold::<Exact, _>(&grid, &cancelled, 0usize, |n, _| n + 1)
             .unwrap();
         assert!(matches!(outcome.into_complete(), Err(CoreError::Cancelled)));
         // exhausting a budget poisons nothing: the *next* call is complete
@@ -175,7 +175,11 @@ fn worker_panic_is_a_typed_error_and_session_survives() {
     let (s, grid) = sweep_fixture();
     let result = with_faults(FaultPlan::panic_on_span(0), || {
         par::with_threads(4, || {
-            s.sweep_fold_par(&grid, cobra::core::folds::MaxAbsError::new())
+            s.fold_par::<Exact, _>(
+                &grid,
+                &SweepBudget::unlimited(),
+                cobra::core::folds::MaxAbsError::new(),
+            )
         })
     });
     match result {
