@@ -1,5 +1,6 @@
-//! Regenerates every table and figure of the paper (experiment index in
-//! DESIGN.md). Output is markdown; EXPERIMENTS.md is produced by running
+//! Regenerates every table and figure of the paper — E1–E8 — plus the
+//! ablations A1–A4. Output is markdown; EXPERIMENTS.md is produced by
+//! running
 //!
 //! ```text
 //! cargo run --release -p cobra-bench --bin experiments -- all > EXPERIMENTS.md
@@ -7,12 +8,18 @@
 //!
 //! Individual experiments: `experiments e1 e3 a1 …`. The full-scale E3/E4
 //! use the paper's one million customers; pass `--customers N` to scale
-//! down (sizes then follow the closed forms in DESIGN.md).
+//! down (sizes then follow `zips × plans × months`, see
+//! `cobra_datagen::telephony`, and bounds scale per zip through
+//! `cobra_bench::scale_bound`).
+//!
+//! Performance is not measured here: the repository's one measurement
+//! harness is the benchmark declared in `BENCHMARK.json`
+//! (`crates/bench/src/bin/benchmark/`).
 
 use cobra_bench::{scale_bound, telephony_workload, PAPER_BOUNDS, PAPER_FULL_SIZE};
 use cobra_core::{
-    apply_cut, dp, enumerate_cuts, optimize_forest_descent, pareto_frontier, Approx, CobraSession,
-    Cut, Exact, GroupAnalysis, SweepBudget,
+    apply_cut, dp, enumerate_cuts, optimize_forest_descent, pareto_frontier, CobraSession, Cut,
+    GroupAnalysis,
 };
 use cobra_datagen::scenarios;
 use cobra_datagen::synthetic::{generate as synth, SyntheticConfig};
@@ -43,8 +50,7 @@ fn main() {
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
         selected = [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15", "e16", "e17", "a1", "a2", "a3", "a4",
+            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "a4",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -68,15 +74,6 @@ fn main() {
             "e6" => e6_result_deltas(),
             "e7" => e7_tpch(),
             "e8" => e8_under_the_hood(),
-            "e9" | "grid" => e9_grid_sweeps(),
-            "e10" | "fold" => e10_fold_sweeps(),
-            "e11" | "par" => e11_parallel_folds(),
-            "e12" | "frontier" => e12_frontier(customers),
-            "e13" | "budget" => e13_budget_overhead(),
-            "e14" | "serve" => e14_serving(customers),
-            "e15" | "kernels" => e15_kernels(customers),
-            "e16" | "delta" => e16_incremental(customers),
-            "e17" | "dag" => e17_algebraic_dag(customers),
             "a1" => a1_optimizer_ablation(),
             "a2" => a2_engine_vs_direct(),
             "a3" => a3_multi_tree(),
@@ -209,7 +206,8 @@ fn e3_section4_sizes(customers: usize) {
     if at_paper_scale {
         println!(
             "All three sizes match the paper exactly (139,260 / 88,620 / 37,980), \
-             confirming the 1055-zip structure inferred in DESIGN.md.\n"
+             confirming the 1055-zip structure (139,260 = 1055 zips × 11 plans × \
+             12 months; `cobra_datagen::telephony`).\n"
         );
     } else {
         println!("(scaled run; exact paper numbers require --customers 1000000)\n");
@@ -482,573 +480,6 @@ fn e8_under_the_hood() {
     println!("DP frontier over the paper example: {}\n", points.join(", "));
 }
 
-/// E9 — grid-driven scenario sweeps (this repo's ScenarioSet extension):
-/// a 10⁵-scenario cartesian grid described in O(axes) memory, streamed
-/// through the compiled batch engines.
-fn e9_grid_sweeps() {
-    println!("## E9 — grid-driven scenario sweeps (ScenarioSet extension)\n");
-
-    // Exact path at paper scale: the full 47³ = 103,823-point factor grid
-    // through CobraSession::sweep (Rat arithmetic on both sides).
-    let t = Telephony::paper_example();
-    let polys = t.revenue_polyset();
-    let mut session = CobraSession::new(t.reg, polys);
-    session
-        .add_tree_text(
-            "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))",
-        )
-        .expect("Fig. 2 tree");
-    session.set_bound(6);
-    session.compress().expect("feasible");
-    let grid = scenarios::telephony_grid(session.registry_mut(), 47);
-    let sw = Stopwatch::start();
-    let sweep = session.sweep(&grid).expect("compressed");
-    let exact_ms = sw.elapsed_ms();
-    println!(
-        "Paper example (14 monomials), exact rational sweep through \
-         `CobraSession::sweep`: **{} scenarios in {:.0} ms** \
-         ({:.1} µs/scenario), grid described by {} axes; max rel. error \
-         over the whole grid {:.4} — every axis moves a whole tree group \
-         (or a tree-external month), so compression is lossless across \
-         the entire grid, exactly the explorer workload the abstraction \
-         was designed for.\n",
-        thousands(sweep.len() as u64),
-        exact_ms,
-        exact_ms * 1e3 / sweep.len() as f64,
-        grid.axes().map_or(0, <[_]>::len),
-        sweep.max_rel_error(),
-    );
-
-    // f64 timing path at workload scale: the same grid swept over the
-    // telephony provenance, full vs compressed, one timed run each.
-    let customers = 10_000usize;
-    let w = telephony_workload(customers);
-    let bound = scale_bound(38_600, w.config.zips);
-    let mut session = CobraSession::new(w.reg, w.polys);
-    session.add_tree(w.tree);
-    session.set_bound(bound);
-    let report = session.compress().expect("bound feasible");
-    let grid = scenarios::telephony_grid(session.registry_mut(), 47);
-    let m = session
-        .measure_batch_speedup(&grid, 0, 1)
-        .expect("compressed");
-    let mut table = Table::new([
-        "side",
-        "monomials",
-        "grid sweep (f64)",
-        "per scenario",
-    ])
-    .numeric();
-    table.row([
-        "full".into(),
-        thousands(m.full_size as u64),
-        format!("{:.0} ms", m.full_time.as_secs_f64() * 1e3),
-        format!("{:.1} µs", m.full_time.as_secs_f64() * 1e6 / grid.len() as f64),
-    ]);
-    table.row([
-        "compressed".into(),
-        thousands(m.compressed_size as u64),
-        format!("{:.0} ms", m.compressed_time.as_secs_f64() * 1e3),
-        format!(
-            "{:.1} µs",
-            m.compressed_time.as_secs_f64() * 1e6 / grid.len() as f64
-        ),
-    ]);
-    println!(
-        "Telephony at {} customers (bound {} → {} monomials), the same \
-         103,823-scenario grid on the `f64` lane kernel:\n",
-        thousands(customers as u64),
-        thousands(bound),
-        thousands(report.compressed_size),
-    );
-    println!("{}", table.to_markdown());
-    println!(
-        "Sweep speedup from compression: **{:.0}%**. The grid itself is \
-         three `(vars, levels)` axes; no `Vec<Valuation>` of length 10⁵ \
-         ever exists on either path, and the exact `sweep` above is \
-         additionally allocation-bounded to its output + block buffers \
-         (tests/grid_alloc.rs). The timing path binds its f64 scenario \
-         rows up front by design, so the measured runs cover evaluation \
-         only.\n",
-        m.speedup_percent(),
-    );
-}
-
-/// E10 — streaming fold aggregation at 10⁶–10⁷ scenarios: the fold-sweep
-/// surface aggregates grids that cannot be materialized, exact vs the
-/// approximate `f64` session mode with its measured divergence.
-fn e10_fold_sweeps() {
-    use cobra_core::folds::{self, ArgmaxImpact, MaxAbsError};
-
-    println!("## E10 — streaming fold-sweeps at 10⁶–10⁷ scenarios (`sweep_fold`, `sweep_fold_f64`)\n");
-
-    let t = Telephony::paper_example();
-    let polys = t.revenue_polyset();
-    let mut session = CobraSession::new(t.reg, polys);
-    session
-        .add_tree_text(
-            "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))",
-        )
-        .expect("Fig. 2 tree");
-    session.set_bound(6);
-    session.compress().expect("feasible");
-    let base = session.baseline_results().expect("compressed");
-
-    let mut table = Table::new([
-        "grid",
-        "path",
-        "wall clock",
-        "per scenario",
-        "max divergence vs exact",
-    ])
-    .numeric();
-    let mut divergences: Vec<f64> = Vec::new();
-    let mut exact_us_per_scenario = 0.0f64;
-    let mut f64_us_per_scenario = 0.0f64;
-
-    // 10⁶ grid: both paths, so the exact/approx cost ratio is measured on
-    // identical work. 10⁷ grid: the f64 path only (the exact sweep would
-    // take minutes; its cost extrapolates linearly from the 10⁶ row).
-    for steps in [100usize, 220] {
-        let grid = scenarios::telephony_grid_steps(session.registry_mut(), [steps; 3]);
-        let label = format!("{}³ = {}", steps, thousands(grid.len() as u64));
-        if steps <= 100 {
-            let sw = Stopwatch::start();
-            let worst = session
-                .sweep_fold(&grid, MaxAbsError::new(), folds::step)
-                .expect("compressed");
-            let ms = sw.elapsed_ms();
-            exact_us_per_scenario = ms * 1e3 / grid.len() as f64;
-            assert_eq!(worst.max_rel_error, 0.0, "aligned grid must be lossless");
-            table.row([
-                label.clone(),
-                "exact `Rat` `sweep_fold`".into(),
-                format!("{ms:.0} ms"),
-                format!("{exact_us_per_scenario:.2} µs"),
-                "0 (is exact)".into(),
-            ]);
-        }
-        let sw = Stopwatch::start();
-        let ((worst, argmax), div) = session
-            .sweep_fold_f64(
-                &grid,
-                (MaxAbsError::new(), ArgmaxImpact::against(base.clone())),
-                |(w, a), item| (folds::step(w, item), folds::step(a, item)),
-            )
-            .expect("compressed");
-        let ms = sw.elapsed_ms();
-        if steps <= 100 {
-            f64_us_per_scenario = ms * 1e3 / grid.len() as f64;
-        }
-        assert!(worst.max_rel_error < 1e-9, "aligned grid must stay lossless");
-        assert_eq!(argmax.best().map(|(i, _)| i), Some(grid.len() - 1));
-        divergences.push(div.max_rel_divergence);
-        table.row([
-            label,
-            "`f64` lane kernel `sweep_fold_f64`".into(),
-            format!("{ms:.0} ms"),
-            format!("{:.3} µs", ms * 1e3 / grid.len() as f64),
-            format!("{:.1e} ({} probes)", div.max_rel_divergence, div.probed),
-        ]);
-    }
-    println!("{}", table.to_markdown());
-    println!(
-        "Both paths fold max-error and argmax-impact aggregates in **O(1) \
-         output memory** (the 10⁶-grid bound is test-enforced: \
-         tests/fold_alloc.rs streams 1,048,576 scenarios under a counting \
-         allocator within a 2 MiB total budget — there is no output \
-         matrix). The `f64` session mode costs **{:.1}%** of the exact \
-         path per scenario ({:.2} µs vs {:.2} µs, a {:.0}× speedup), and \
-         its probed divergence from exact arithmetic stays at unit-roundoff \
-         scale (max {:.1e} across both grids).\n",
-        100.0 * f64_us_per_scenario / exact_us_per_scenario,
-        f64_us_per_scenario,
-        exact_us_per_scenario,
-        exact_us_per_scenario / f64_us_per_scenario,
-        divergences.iter().cloned().fold(0.0, f64::max),
-    );
-}
-
-/// E13 — budget machinery overhead on the uninterrupted hot path: the
-/// budgeted `f64` fold-sweep with armed-but-untripped dynamic limits
-/// (deadline + token, polled per block) vs the legacy unbudgeted entry,
-/// plus the cost of the Higham bounded mode and a demonstration of
-/// graceful deadline degradation.
-fn e13_budget_overhead() {
-    use cobra_core::folds::{self, MaxAbsError};
-    use cobra_util::CancelToken;
-    use std::time::Duration;
-
-    println!("## E13 — sweep budgets: hot-path overhead and graceful degradation (`fold::<Approx>` under a budget)\n");
-
-    let t = Telephony::paper_example();
-    let polys = t.revenue_polyset();
-    let mut session = CobraSession::new(t.reg, polys);
-    session
-        .add_tree_text(
-            "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))",
-        )
-        .expect("Fig. 2 tree");
-    session.set_bound(6);
-    session.compress().expect("feasible");
-    let grid = scenarios::telephony_grid_steps(session.registry_mut(), [100; 3]); // 10⁶
-
-    // Never-tripping dynamic limits: the sweep pays the full per-block
-    // polling cost (token load + Instant::now) without ever stopping.
-    let far_deadline = Duration::from_secs(3600);
-    let token = CancelToken::new();
-
-    let run_unbudgeted = || {
-        session
-            .sweep_fold_f64(&grid, MaxAbsError::new(), folds::step)
-            .expect("compressed")
-    };
-    let run_budgeted = || {
-        let budget = SweepBudget::unlimited()
-            .with_deadline(far_deadline)
-            .with_cancel_token(token.clone());
-        session
-            .fold::<Approx, _>(&grid, &budget, MaxAbsError::new(), folds::step)
-            .expect("compressed")
-    };
-    // The polling overhead under test is ~1% of a ~130 ms run — below
-    // batch-to-batch machine drift, so timing each path as its own
-    // back-to-back batch routinely mis-signs the difference. Interleave
-    // the two paths round by round and keep per-path minima instead.
-    std::hint::black_box(run_unbudgeted());
-    std::hint::black_box(run_budgeted());
-    let (mut unbudgeted, mut budgeted) = (Duration::MAX, Duration::MAX);
-    for _ in 0..9 {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(run_unbudgeted());
-        unbudgeted = unbudgeted.min(t0.elapsed());
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(run_budgeted());
-        budgeted = budgeted.min(t0.elapsed());
-    }
-    let (_, bounded) = time_best_of(1, 3, || {
-        session
-            .sweep_fold_f64_bounded(
-                &grid,
-                SweepBudget::unlimited(),
-                MaxAbsError::new(),
-                folds::step,
-            )
-            .expect("compressed")
-    });
-
-    let un_ms = unbudgeted.as_secs_f64() * 1e3;
-    let bu_ms = budgeted.as_secs_f64() * 1e3;
-    let bo_ms = bounded.as_secs_f64() * 1e3;
-    let overhead_pct = 100.0 * (bu_ms - un_ms) / un_ms;
-
-    let mut table =
-        Table::new(["path", "wall clock (best of 9, interleaved)", "vs unbudgeted"]).numeric();
-    table.row([
-        "`sweep_fold_f64` (unlimited budget)".into(),
-        format!("{un_ms:.0} ms"),
-        "—".into(),
-    ]);
-    table.row([
-        "`fold::<Approx>` (deadline+token armed, never trips)".into(),
-        format!("{bu_ms:.0} ms"),
-        format!("{overhead_pct:+.1}%"),
-    ]);
-    table.row([
-        "`sweep_fold_f64_bounded` (Higham running-error certificate)".into(),
-        format!("{bo_ms:.0} ms"),
-        format!("{:+.0}%", 100.0 * (bo_ms - un_ms) / un_ms),
-    ]);
-    println!("{}", table.to_markdown());
-
-    // Graceful degradation: a deadline a fraction of the full runtime
-    // returns an exact partial prefix, not an error and not garbage.
-    let slice = Duration::from_secs_f64(un_ms / 1e3 / 4.0);
-    let sw = Stopwatch::start();
-    let (outcome, _) = session
-        .fold::<Approx, _>(
-            &grid,
-            &SweepBudget::unlimited().with_deadline(slice),
-            MaxAbsError::new(),
-            folds::step,
-        )
-        .expect("compressed");
-    let cut_ms = sw.elapsed_ms();
-    let done = outcome.scenarios_done().unwrap_or(grid.len());
-    println!(
-        "Per-block budget polls cost **{overhead_pct:+.1}%** on the uninterrupted \
-         10⁶-scenario hot path (block = 1024 scenarios, so one token load and \
-         one `Instant::now` per ~1000 scenarios). A {:.0} ms deadline over the \
-         same grid stopped after {:.0} ms with an exact partial fold over \
-         {} of {} scenarios ({:.0}%), bit-identical to a sequential fold over \
-         that prefix.\n",
-        slice.as_secs_f64() * 1e3,
-        cut_ms,
-        thousands(done as u64),
-        thousands(grid.len() as u64),
-        100.0 * done as f64 / grid.len() as f64,
-    );
-}
-
-/// E11 — the parallel monoid fold-combine engine: `fold_par::<Exact>` /
-/// `sweep_fold_f64_par` scaling over worker threads, with bit-identity
-/// to the sequential fold asserted on every run.
-fn e11_parallel_folds() {
-    use cobra_core::folds::{self, MaxAbsError};
-    use cobra_util::par;
-
-    println!("## E11 — parallel monoid fold-combine (`fold_par::<Exact>`, `sweep_fold_f64_par`)\n");
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let t = Telephony::paper_example();
-    let polys = t.revenue_polyset();
-    let mut session = CobraSession::new(t.reg, polys);
-    session
-        .add_tree_text(
-            "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))",
-        )
-        .expect("Fig. 2 tree");
-    session.set_bound(6);
-    session.compress().expect("feasible");
-
-    let exact_grid = scenarios::telephony_grid_steps(session.registry_mut(), [100; 3]);
-    let f64_grid = scenarios::telephony_grid_steps(session.registry_mut(), [220; 3]);
-    let huge_grid = scenarios::telephony_grid4(session.registry_mut(), [100; 4]);
-
-    let mut table = Table::new([
-        "grid",
-        "path",
-        "threads",
-        "wall clock",
-        "per scenario",
-        "vs sequential fold",
-    ])
-    .numeric();
-
-    // Sequential baselines on identical work, then the fold-combine
-    // engine at 1/2/4 workers; every parallel aggregate is asserted
-    // bit-identical to the sequential fold.
-    let sw = Stopwatch::start();
-    let exact_seq = session
-        .sweep_fold(&exact_grid, MaxAbsError::new(), folds::step)
-        .expect("compressed");
-    let exact_seq_ms = sw.elapsed_ms();
-    table.row([
-        format!("100³ = {}", thousands(exact_grid.len() as u64)),
-        "exact `Rat` `sweep_fold` (sequential)".into(),
-        "—".into(),
-        format!("{exact_seq_ms:.0} ms"),
-        format!("{:.2} µs", exact_seq_ms * 1e3 / exact_grid.len() as f64),
-        "1.00×".into(),
-    ]);
-    for threads in [1usize, 2, 4] {
-        let sw = Stopwatch::start();
-        let worst = par::with_threads(threads, || {
-            session
-                .fold_par::<Exact, _>(&exact_grid, &SweepBudget::unlimited(), MaxAbsError::new())
-                .expect("compressed")
-                .0
-                .into_fold()
-        });
-        let ms = sw.elapsed_ms();
-        assert_eq!(exact_seq.max_abs_error, worst.max_abs_error, "bit-identity");
-        assert_eq!(exact_seq.argmax_abs, worst.argmax_abs, "bit-identity");
-        assert_eq!(exact_seq.max_rel_error, worst.max_rel_error, "bit-identity");
-        assert_eq!(exact_seq.argmax_rel, worst.argmax_rel, "bit-identity");
-        table.row([
-            format!("100³ = {}", thousands(exact_grid.len() as u64)),
-            "exact `Rat` `fold_par::<Exact>`".into(),
-            threads.to_string(),
-            format!("{ms:.0} ms"),
-            format!("{:.2} µs", ms * 1e3 / exact_grid.len() as f64),
-            format!("{:.2}×", exact_seq_ms / ms),
-        ]);
-    }
-    let sw = Stopwatch::start();
-    let (f64_seq, f64_seq_div) = session
-        .sweep_fold_f64(&f64_grid, MaxAbsError::new(), folds::step)
-        .expect("compressed");
-    let f64_seq_ms = sw.elapsed_ms();
-    table.row([
-        format!("220³ = {}", thousands(f64_grid.len() as u64)),
-        "`f64` lane kernel `sweep_fold_f64` (sequential)".into(),
-        "—".into(),
-        format!("{f64_seq_ms:.0} ms"),
-        format!("{:.3} µs", f64_seq_ms * 1e3 / f64_grid.len() as f64),
-        "1.00×".into(),
-    ]);
-    for threads in [1usize, 2, 4] {
-        let sw = Stopwatch::start();
-        let (worst, div) = par::with_threads(threads, || {
-            session
-                .sweep_fold_f64_par(&f64_grid, MaxAbsError::new())
-                .expect("compressed")
-        });
-        let ms = sw.elapsed_ms();
-        assert_eq!(f64_seq.max_abs_error, worst.max_abs_error, "bit-identity");
-        assert_eq!(f64_seq.argmax_abs, worst.argmax_abs, "bit-identity");
-        assert_eq!(f64_seq_div.probed, div.probed, "same probes at any thread count");
-        assert_eq!(
-            f64_seq_div.max_rel_divergence, div.max_rel_divergence,
-            "bit-identical divergence record"
-        );
-        table.row([
-            format!("220³ = {}", thousands(f64_grid.len() as u64)),
-            "`f64` lane kernel `sweep_fold_f64_par`".into(),
-            threads.to_string(),
-            format!("{ms:.0} ms"),
-            format!("{:.3} µs", ms * 1e3 / f64_grid.len() as f64),
-            format!("{:.2}×", f64_seq_ms / ms),
-        ]);
-    }
-
-    // The scale the fold-combine engine exists for: a 10⁸-scenario
-    // four-axis family, streamed once on the f64 path at the detected
-    // parallelism (per-worker state, O(workers) memory).
-    let sw = Stopwatch::start();
-    let (worst, div) = session
-        .sweep_fold_f64_par(&huge_grid, MaxAbsError::new())
-        .expect("compressed");
-    let ms = sw.elapsed_ms();
-    assert!(worst.max_rel_error < 1e-9, "aligned axes stay lossless");
-    table.row([
-        format!("100⁴ = {}", thousands(huge_grid.len() as u64)),
-        "`f64` lane kernel `sweep_fold_f64_par`".into(),
-        par::num_threads().to_string(),
-        format!("{ms:.0} ms"),
-        format!("{:.3} µs", ms * 1e3 / huge_grid.len() as f64),
-        format!("divergence {:.1e}", div.max_rel_divergence),
-    ]);
-
-    println!("{}", table.to_markdown());
-    println!(
-        "Detected hardware parallelism on this machine: **{cores} core(s)**. \
-         Worker counts above that are time-sliced by the OS, so scaling \
-         beyond the single-worker gain requires multi-core hardware — the \
-         harness (this experiment + the `COBRA_THREADS` CI matrix) records \
-         the scaling curve wherever it runs, and workers split the bind + \
-         evaluate work with no shared state, so the span fan-out is \
-         embarrassingly parallel. Every parallel aggregate above was \
-         asserted **bit-identical** to the sequential fold (the `MergeFold` \
-         contract, property-tested across engines and 1/2/8 threads in \
-         tests/engine_diff.rs), and memory stays O(workers) \
-         (tests/fold_alloc.rs proves a 4-worker 10⁶-scenario parallel fold \
-         within 4 MiB under a counting allocator).\n"
-    );
-}
-
-/// E12 — one-pass frontier compression vs repeated compress: the unified
-/// planner's multi-budget workflow at paper-scale telephony.
-fn e12_frontier(customers: usize) {
-    println!(
-        "## E12 — frontier planning vs repeated compression ({} customers)\n",
-        thousands(customers as u64)
-    );
-    let mut w = telephony_workload(customers);
-    let full = w.polys.total_monomials() as u64;
-    // Bind the verification scenario against the workload registry BEFORE
-    // the sessions clone it, so every session shares its var ids.
-    let march = scenarios::march_discount().valuation(&mut w.reg);
-
-    // K evenly spaced budgets across the attainable size range (K ≥ 8),
-    // discovered from a throwaway frontier pass so both measured paths
-    // answer identical questions.
-    let mut probe = CobraSession::new(w.reg.clone(), w.polys.clone());
-    probe.add_tree(w.tree.clone());
-    let frontier = probe.compress_frontier().expect("single tree").clone();
-    let min = frontier.min_size();
-    const K: u64 = 8;
-    let budgets: Vec<u64> = (0..K).map(|i| min + (full - min) * i / (K - 1)).collect();
-    drop(probe);
-
-    // Path A: one fresh compress() per budget (the pre-planner workflow;
-    // the session's full-side engine cache applies to both paths alike).
-    let mut repeat_session = CobraSession::new(w.reg.clone(), w.polys.clone());
-    repeat_session.add_tree(w.tree.clone());
-    let sw = Stopwatch::start();
-    let mut repeat_reports = Vec::new();
-    for &bound in &budgets {
-        repeat_session.set_bound(bound);
-        repeat_reports.push(repeat_session.compress().expect("feasible"));
-    }
-    let repeat_ms = sw.elapsed_ms();
-
-    // Path B: one frontier pass, then a re-selection per budget.
-    let mut frontier_session = CobraSession::new(w.reg.clone(), w.polys.clone());
-    frontier_session.add_tree(w.tree.clone());
-    let sw = Stopwatch::start();
-    frontier_session.compress_frontier().expect("single tree");
-    let plan_ms = sw.elapsed_ms();
-    let sw = Stopwatch::start();
-    let mut select_reports = Vec::new();
-    for &bound in &budgets {
-        select_reports.push(frontier_session.select_bound(bound).expect("feasible"));
-    }
-    let select_ms = sw.elapsed_ms();
-    let frontier_ms = plan_ms + select_ms;
-
-    // Both paths must answer identically, bound for bound.
-    for (a, b) in repeat_reports.iter().zip(&select_reports) {
-        assert_eq!(a.compressed_size, b.compressed_size, "bound {}", a.bound);
-        assert_eq!(a.compressed_vars, b.compressed_vars, "bound {}", a.bound);
-        assert_eq!(a.cuts, b.cuts, "bound {}", a.bound);
-    }
-    // …including actual evaluation: a scenario sweep at the tightest and
-    // loosest budgets, exact results compared row by row (this forces the
-    // lazily deferred polynomial construction + engine compilation).
-    let sweep_scenarios = vec![march, Valuation::with_default(cobra_util::Rat::ONE)];
-    for &bound in [budgets[0], *budgets.last().expect("nonempty")].iter() {
-        repeat_session.set_bound(bound);
-        repeat_session.compress().expect("feasible");
-        frontier_session.select_bound(bound).expect("feasible");
-        let a = repeat_session.sweep(&sweep_scenarios).expect("compressed");
-        let b = frontier_session.sweep(&sweep_scenarios).expect("selected");
-        for i in 0..a.len() {
-            assert_eq!(a.comparison(i).rows, b.comparison(i).rows, "bound {bound}");
-        }
-    }
-
-    let mut table = Table::new(["bound", "size", "variables", "cut"]).numeric();
-    for report in &select_reports {
-        table.row([
-            thousands(report.bound),
-            thousands(report.compressed_size),
-            report.compressed_vars.to_string(),
-            report.cuts[0].clone(),
-        ]);
-    }
-    println!("{}", table.to_markdown());
-
-    let speedup = repeat_ms / frontier_ms;
-    let mut timing = Table::new(["path", "wall clock", "per budget"]).numeric();
-    timing.row([
-        format!("{K}× set_bound + compress (pre-planner workflow)"),
-        format!("{repeat_ms:.1} ms"),
-        format!("{:.1} ms", repeat_ms / K as f64),
-    ]);
-    timing.row([
-        format!("compress_frontier + {K}× select_bound"),
-        format!("{frontier_ms:.1} ms ({plan_ms:.1} plan + {select_ms:.1} select)"),
-        format!("{:.1} ms", frontier_ms / K as f64),
-    ]);
-    println!("{}", timing.to_markdown());
-    println!(
-        "One planning pass answers every budget: **{speedup:.1}× faster** than \
-         {K} independent compressions over the same {K} budgets (sizes \
-         {}–{}), with per-bound reports and cuts asserted identical on this \
-         run, exact sweep results compared row-by-row at the tightest and \
-         loosest budgets, and the full bit-identity property-pinned against \
-         the one-shot DP path in tests/planner.rs. The frontier pass runs \
-         the group analysis and tree knapsack once; each `select_bound` is \
-         an O(log frontier) lookup plus an O(leaves) meta-variable \
-         assignment, with the compressed polynomials (group-statistics \
-         construction, no re-scan of the full provenance) and the \
-         compressed engine built lazily on first evaluation.\n",
-        thousands(min),
-        thousands(full),
-    );
-}
-
 /// A1 — optimizer ablation: exact DP vs brute force vs greedy baseline.
 fn a1_optimizer_ablation() {
     println!("## A1 — optimizer ablation (synthetic workloads)\n");
@@ -1258,745 +689,5 @@ fn a3_multi_tree() {
          granularity for plan granularity, reaching bounds the single-tree \
          setting cannot (the demo restricts to one tree; the SIGMOD'19 paper \
          studies this general case).\n"
-    );
-}
-
-/// E14 — COBRA-as-a-service: server cold-start (recompile vs zero-copy
-/// artifact re-load) and request coalescing, at the paper's full
-/// provenance scale. Not a paper figure — it quantifies the serving
-/// subsystem the demo's interactive GUI implies.
-fn e14_serving(customers: usize) {
-    use cobra_core::{restore_session, snapshot_session};
-    use cobra_provenance::persist::write_file;
-    use cobra_provenance::LoadedArtifact;
-    use cobra_server::store::{Job, SessionStore};
-    use cobra_util::Rat;
-
-    println!("## E14 — serving: cold-start and request coalescing\n");
-
-    const FIG2: &str =
-        "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))";
-    let w = telephony_workload(customers);
-    let full_size = w.polys.total_monomials() as u64;
-    let bound = scale_bound(PAPER_BOUNDS[0].0, w.config.zips);
-    let alt_bound = scale_bound(PAPER_BOUNDS[1].0, w.config.zips);
-    // Cold start, tier 0: everything from in-memory polynomials to a
-    // session ready to answer requests — group analysis, frontier
-    // planning, cut application, and compiling all four engines (full +
-    // compressed, exact + `f64` shadow). `warm_up` forces the lazy
-    // compiles without evaluating anything, so both paths below are
-    // timed to the same "ready to serve" line and no steady-state
-    // evaluation cost dilutes the comparison.
-    let build = |bound: u64| {
-        let mut s = CobraSession::new(w.reg.clone(), w.polys.clone());
-        s.add_tree_text(FIG2).expect("Fig. 2 tree");
-        s.compress_frontier().expect("frontier");
-        s.select_bound(bound).expect("feasible bound");
-        s.warm_up().expect("engine compile");
-        s
-    };
-    let (_, recompile) = time_best_of(1, 3, || build(bound));
-
-    // The persisted artifact: a session that hopped both paper bounds
-    // (warming each selection's engines), so both compressed engines —
-    // exact and `f64` — ride along warm next to the full-side programs.
-    let mut reference = build(bound);
-    reference.select_bound(alt_bound).expect("feasible");
-    reference.warm_up().expect("engine compile");
-    reference.select_bound(bound).expect("re-select");
-    let bytes = snapshot_session(&reference).expect("snapshot");
-    let artifact_mb = bytes.len() as f64 / (1024.0 * 1024.0);
-    let path = std::env::temp_dir().join("cobra-e14-session.cobra");
-    write_file(&path, &bytes).expect("write artifact");
-
-    // Cold start, disk tier: mmap the artifact, verify its checksum,
-    // re-hydrate the session zero-copy (no CSR array is re-allocated),
-    // and reach the same ready-to-serve line (`warm_up` is a no-op here
-    // because every engine restores warm).
-    let (_, reload) = time_best_of(1, 3, || {
-        let artifact = LoadedArtifact::open(&path).expect("open artifact");
-        let mut s = restore_session(&artifact).expect("restore");
-        s.select_bound(bound).expect("warm re-select");
-        s.warm_up().expect("warm engines");
-        s
-    });
-
-    let re_ms = recompile.as_secs_f64() * 1e3;
-    let lo_ms = reload.as_secs_f64() * 1e3;
-    let cold_speedup = re_ms / lo_ms;
-    let mut table = Table::new(["cold-start path", "wall clock (best of 3)", "speedup"]).numeric();
-    table.row([
-        "recompile from polynomials".into(),
-        format!("{re_ms:.1} ms"),
-        "—".into(),
-    ]);
-    table.row([
-        format!("mmap re-load ({artifact_mb:.1} MiB artifact)"),
-        format!("{lo_ms:.1} ms"),
-        format!("{cold_speedup:.1}×"),
-    ]);
-    println!("{}", table.to_markdown());
-    println!(
-        "Full provenance: {} monomials; bound {} selected in both paths. The \
-         re-load path skips group analysis, frontier planning, cut \
-         application and both engine compiles — its cost is page faults \
-         plus the small label/registry tables.\n",
-        thousands(full_size),
-        thousands(bound)
-    );
-
-    // Request coalescing: the same 64-perturbation sweep issued by 32
-    // clients. Sequentially the worker runs 32 sweeps; concurrently it
-    // drains the queue and fuses the deadline-free sweeps over the
-    // deduplicated union grid, answering each client from its own rows.
-    const CLIENTS: usize = 32;
-    const PERTURBATIONS: usize = 64;
-    let vars = ["p1", "y1", "f1", "v"];
-    let scenarios: Vec<(String, Rat)> = (0..PERTURBATIONS)
-        .map(|i| {
-            (
-                vars[i % vars.len()].to_owned(),
-                Rat::new(1000 + i as i128, 1000),
-            )
-        })
-        .collect();
-    let store = SessionStore::new(None);
-    store.adopt("paper", reference).expect("adopt");
-    let sweep_once = || {
-        store
-            .dispatch("paper", |reply| Job::Sweep {
-                scenarios: scenarios.clone(),
-                deadline_ms: None,
-                reply,
-            })
-            .expect("sweep")
-    };
-    let baseline = sweep_once(); // warm the f64 engines
-
-    let sw = Stopwatch::start();
-    for _ in 0..CLIENTS {
-        std::hint::black_box(sweep_once());
-    }
-    let serial = sw.elapsed();
-
-    let sw = Stopwatch::start();
-    let replies: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CLIENTS).map(|_| scope.spawn(sweep_once)).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let coalesced = sw.elapsed();
-    let identical = replies.iter().all(|r| r == &baseline);
-
-    let se_ms = serial.as_secs_f64() * 1e3;
-    let co_ms = coalesced.as_secs_f64() * 1e3;
-    let mut table = Table::new([
-        "32 × 64-scenario sweep",
-        "wall clock",
-        "vs serial",
-        "bit-identical",
-    ])
-    .numeric();
-    table.row([
-        "serial (one request at a time)".into(),
-        format!("{se_ms:.1} ms"),
-        "—".into(),
-        "—".into(),
-    ]);
-    table.row([
-        "concurrent (coalesced)".into(),
-        format!("{co_ms:.1} ms"),
-        format!("{:.1}×", se_ms / co_ms),
-        if identical { "yes".into() } else { "NO — BUG".into() },
-    ]);
-    println!("{}", table.to_markdown());
-    println!(
-        "Coalescing fuses compatible queued sweeps into one batched pass \
-         over the union grid; overlapping perturbations are deduplicated, \
-         and per-scenario lane independence keeps every fused reply \
-         bit-identical to its solo run.\n"
-    );
-}
-
-/// E15 — kernel shootout: the explicit batch kernels behind the
-/// `COBRA_KERNEL` dispatch at the paper's full provenance scale. `f64`
-/// side: portable scalar lanes (the LLVM auto-vectorized baseline) vs
-/// explicit AVX2 vs AVX2+FMA on `sweep_fold_f64`; exact side: the
-/// scaled-i128 fixed-point kernel vs the plain `Rat` term walk.
-/// Everything the dispatch promises bit-identical is asserted
-/// bit-identical here; the FMA row is checked against the Higham
-/// rounding certificates of the bounded engine. Not a paper figure —
-/// it pins the cost model of the kernel layer.
-fn e15_kernels(customers: usize) {
-    use cobra_core::folds::{self, MaxAbsError};
-    use cobra_provenance::{compile_f64, LaneScratch};
-    use cobra_util::kernel::{self, KernelTarget};
-
-    println!("## E15 — kernel shootout: explicit SIMD batch kernels\n");
-
-    let w = telephony_workload(customers);
-    let full_size = w.polys.total_monomials() as u64;
-    let full64 = compile_f64(&w.polys);
-    let bound = scale_bound(PAPER_BOUNDS[0].0, w.config.zips);
-    let mut session = CobraSession::new(w.reg, w.polys);
-    session.add_tree(w.tree);
-    session.set_bound(bound);
-    session.compress().expect("feasible");
-    println!(
-        "Host CPU: avx2 {}, fma {}. Full provenance: {} monomials, \
-         bound {}. Every row runs the identical work through \
-         `kernel::with_target`, so the only difference is the kernel \
-         the dispatch resolves.\n",
-        if kernel::avx2_available() { "yes" } else { "no" },
-        if kernel::fma_available() { "yes" } else { "no" },
-        thousands(full_size),
-        thousands(bound),
-    );
-
-    // ---- raw batch kernel: the full-side f64 program alone ----
-    // One 256-scenario batch through `eval_batch_fast_serial_into`
-    // isolates the lane kernels from binding, folding and the exact
-    // divergence probes the session surfaces add on top.
-    let nl = full64.program().num_locals();
-    let np_full = full64.program().num_polys();
-    let raw_rows: Vec<Vec<f64>> = (0..256)
-        .map(|s| {
-            (0..nl)
-                .map(|v| 1.0 + ((s * 31 + v) % 97) as f64 * 1e-3)
-                .collect()
-        })
-        .collect();
-    let mut raw_out = vec![0.0f64; raw_rows.len() * np_full];
-    let mut raw_table =
-        Table::new(["raw kernel", "per scenario (best of 3)", "vs scalar", "results"]).numeric();
-    let mut raw_scalar_us = 0.0f64;
-    let mut raw_avx2_us = f64::NAN;
-    let mut raw_reference: Vec<u64> = Vec::new();
-    for (label, target) in [
-        ("portable scalar lanes (auto-vec)", KernelTarget::Scalar),
-        ("explicit AVX2", KernelTarget::Avx2),
-        ("explicit AVX2 + FMA", KernelTarget::Avx2Fma),
-    ] {
-        let (_, best) = kernel::with_target(target, || {
-            time_best_of(1, 3, || {
-                let mut scratch = LaneScratch::new();
-                full64.eval_batch_fast_serial_into(&raw_rows, &mut raw_out, &mut scratch);
-            })
-        });
-        let us = best.as_secs_f64() * 1e6 / raw_rows.len() as f64;
-        let results = match target {
-            KernelTarget::Scalar => {
-                raw_scalar_us = us;
-                raw_reference = raw_out.iter().map(|x| x.to_bits()).collect();
-                "reference".to_owned()
-            }
-            KernelTarget::Avx2 => {
-                raw_avx2_us = us;
-                assert!(
-                    raw_out.iter().map(|x| x.to_bits()).eq(raw_reference.iter().copied()),
-                    "AVX2 mul+add must be bit-identical to the scalar lanes"
-                );
-                "bit-identical".to_owned()
-            }
-            _ => {
-                let max_rel = raw_out
-                    .iter()
-                    .zip(&raw_reference)
-                    .map(|(x, &r)| {
-                        let r = f64::from_bits(r);
-                        if r == 0.0 { 0.0 } else { ((x - r) / r).abs() }
-                    })
-                    .fold(0.0, f64::max);
-                format!("≤{max_rel:.1e} rel")
-            }
-        };
-        raw_table.row([
-            label.into(),
-            format!("{us:.1} µs"),
-            if target == KernelTarget::Scalar {
-                "—".into()
-            } else {
-                format!("{:.2}×", raw_scalar_us / us)
-            },
-            results,
-        ]);
-    }
-    println!("{}", raw_table.to_markdown());
-    println!(
-        "The mul+add AVX2 kernel clears the tentpole target: **{:.2}×** \
-         over the auto-vectorized portable lanes on the same {}-monomial \
-         program ({:.1} µs vs {:.1} µs per scenario), bit-for-bit equal \
-         output. FMA rounds once per multiply-accumulate instead of \
-         twice, so it is certified by the Higham shadow bound instead of \
-         bit-identity (tests/kernel_diff.rs pins both properties).\n",
-        raw_scalar_us / raw_avx2_us,
-        thousands(full_size),
-        raw_scalar_us,
-        raw_avx2_us,
-    );
-
-    let grid = scenarios::telephony_grid_steps(session.registry_mut(), [10; 3]);
-    let exact_grid = scenarios::telephony_grid_steps(session.registry_mut(), [2; 3]);
-
-    // ---- end-to-end f64: sweep_fold_f64 under each dispatch target ----
-    let targets = [
-        ("portable scalar lanes (auto-vec)", KernelTarget::Scalar),
-        ("explicit AVX2", KernelTarget::Avx2),
-        ("explicit AVX2 + FMA", KernelTarget::Avx2Fma),
-        ("`auto` (runtime detection)", KernelTarget::Auto),
-    ];
-    println!(
-        "End to end, `sweep_fold_f64` over a {}-scenario grid adds \
-         binding, folding and up to 16 exact divergence probes on top of \
-         the raw kernel — and the probes follow the exact-kernel dispatch \
-         too, so `COBRA_KERNEL=scalar` pays the plain-`Rat` probe walk \
-         while the SIMD targets probe through the scaled-i128 kernel:\n",
-        thousands(grid.len() as u64),
-    );
-    let mut table = Table::new([
-        "dispatch target",
-        "resolved kernel",
-        "wall clock (best of 3)",
-        "per scenario",
-        "vs scalar",
-    ])
-    .numeric();
-    let mut scalar_us = 0.0f64;
-    let mut auto_us = f64::NAN;
-    // (bits of every fold field + divergence) per bit-identical target.
-    type FoldSignature = (u64, Option<usize>, u64, Option<usize>, u64);
-    let mut signatures: Vec<(&str, FoldSignature)> = Vec::new();
-    for (label, target) in targets {
-        let resolved = kernel::with_target(target, kernel::current);
-        let ((worst, div), best) = kernel::with_target(target, || {
-            time_best_of(1, 3, || {
-                session
-                    .sweep_fold_f64(&grid, MaxAbsError::new(), folds::step)
-                    .expect("compressed")
-            })
-        });
-        let us = best.as_secs_f64() * 1e6 / grid.len() as f64;
-        if target == KernelTarget::Scalar {
-            scalar_us = us;
-        }
-        if target == KernelTarget::Auto {
-            auto_us = us;
-        }
-        if target != KernelTarget::Avx2Fma {
-            // scalar, avx2 and auto promise bit-identical results.
-            signatures.push((
-                label,
-                (
-                    worst.max_abs_error.to_bits(),
-                    worst.argmax_abs,
-                    worst.max_rel_error.to_bits(),
-                    worst.argmax_rel,
-                    div.max_rel_divergence.to_bits(),
-                ),
-            ));
-        }
-        table.row([
-            label.into(),
-            format!("`{}`", resolved.as_str()),
-            format!("{:.1} ms", best.as_secs_f64() * 1e3),
-            format!("{us:.1} µs"),
-            if target == KernelTarget::Scalar {
-                "—".into()
-            } else {
-                format!("{:.2}×", scalar_us / us)
-            },
-        ]);
-    }
-    for (label, sig) in &signatures[1..] {
-        assert_eq!(
-            sig, &signatures[0].1,
-            "{label} diverged from the scalar lanes — the mul+add kernels must be bit-identical"
-        );
-    }
-    println!("{}", table.to_markdown());
-
-    // The FMA row rounds differently by design (one rounding per
-    // multiply-accumulate instead of two), so instead of bit-identity it
-    // must land within the *sum* of the two Higham certificates the
-    // bounded engine proves for each run.
-    let bounded = |target: KernelTarget| {
-        kernel::with_target(target, || {
-            session
-                .sweep_fold_f64_bounded(
-                    &grid,
-                    cobra_core::SweepBudget::unlimited(),
-                    MaxAbsError::new(),
-                    folds::step,
-                )
-                .expect("compressed")
-        })
-    };
-    let (fma_out, fma_cert) = bounded(KernelTarget::Avx2Fma);
-    let (ref_out, ref_cert) = bounded(KernelTarget::Scalar);
-    let drift =
-        (fma_out.into_fold().max_abs_error - ref_out.into_fold().max_abs_error).abs();
-    let certificate = fma_cert.max_abs_bound + ref_cert.max_abs_bound;
-    assert!(
-        drift <= certificate,
-        "FMA drift {drift:e} exceeds the summed Higham certificate {certificate:e}"
-    );
-
-    // ---- exact side: scaled-i128 fixed-point vs the plain Rat walk ----
-    // `COBRA_KERNEL=scalar` also pins the exact path to plain `Rat`
-    // arithmetic; `auto` lets the scaled-i128 kernel take the scenarios
-    // it can prove overflow-free (all of them here).
-    let exact = |target: KernelTarget| {
-        kernel::with_target(target, || {
-            time_best_of(0, 2, || {
-                session
-                    .sweep_fold(&exact_grid, MaxAbsError::new(), folds::step)
-                    .expect("compressed")
-            })
-        })
-    };
-    let (rat_worst, rat_t) = exact(KernelTarget::Scalar);
-    let (fix_worst, fix_t) = exact(KernelTarget::Auto);
-    assert_eq!(
-        (rat_worst.max_abs_error, rat_worst.argmax_abs, rat_worst.max_rel_error),
-        (fix_worst.max_abs_error, fix_worst.argmax_abs, fix_worst.max_rel_error),
-        "the fixed-point exact kernel must agree with plain Rat exactly"
-    );
-    let rat_ms = rat_t.as_secs_f64() * 1e3 / exact_grid.len() as f64;
-    let fix_ms = fix_t.as_secs_f64() * 1e3 / exact_grid.len() as f64;
-    let mut table = Table::new([
-        "exact path",
-        "grid",
-        "per scenario (best of 2)",
-        "vs plain Rat",
-    ])
-    .numeric();
-    table.row([
-        "plain `Rat` term walk (`COBRA_KERNEL=scalar`)".into(),
-        format!("{} scenarios", exact_grid.len()),
-        format!("{rat_ms:.1} ms"),
-        "—".into(),
-    ]);
-    table.row([
-        "scaled-i128 fixed-point (`auto`)".into(),
-        format!("{} scenarios", exact_grid.len()),
-        format!("{fix_ms:.1} ms"),
-        format!("{:.2}×", rat_ms / fix_ms),
-    ]);
-    println!("{}", table.to_markdown());
-
-    println!(
-        "Composition of the end-to-end gap: the raw mul+add kernel \
-         contributes {:.2}× (table above) and the probe path the rest — \
-         under `auto` the whole fold-sweep lands at {:.1} µs per scenario \
-         against {:.1} µs fully pinned to portable code, **{:.2}×** \
-         end to end. Results stay bit-identical across scalar/avx2/auto \
-         (asserted above on fold fields and divergence probes alike); \
-         FMA is not bit-identical by design, and its aggregate drift \
-         here, {:.1e}, sits inside the summed Higham certificate {:.1e} \
-         proved by the bounded engine. On the exact side the scaled-i128 \
-         kernel answers {:.2}× faster than the plain `Rat` walk and \
-         representation-identically (it falls back to `Rat` per scenario \
-         whenever its overflow pre-check fails — see \
-         tests/kernel_diff.rs).\n",
-        raw_scalar_us / raw_avx2_us,
-        auto_us,
-        scalar_us,
-        scalar_us / auto_us,
-        drift,
-        certificate,
-        rat_ms / fix_ms,
-    );
-}
-
-/// E17 — algebraic compression: power-product CSE + shared-pair
-/// factoring into a shared-subterm DAG program (`compile_dag`), composed
-/// with cut-based abstraction, at the paper's full provenance scale.
-/// Not a paper figure — it pins the cost model of the rewrite layer:
-/// the multiply-op reduction is deterministic and gated in-run; the
-/// end-to-end sweep speedup and the bit-identity of the exact path are
-/// measured and asserted on the same run.
-fn e17_algebraic_dag(customers: usize) {
-    use cobra_core::folds::{self, MaxAbsError};
-    use cobra_util::kernel::{self, KernelTarget};
-
-    println!("## E17 — algebraic compression: shared-subterm DAG programs (`compile_dag`)\n");
-
-    const FIG2: &str =
-        "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))";
-    let w = telephony_workload(customers);
-    let full_size = w.polys.total_monomials() as u64;
-    let bound = scale_bound(PAPER_BOUNDS[0].0, w.config.zips);
-    let build = || {
-        let mut s = CobraSession::new(w.reg.clone(), w.polys.clone());
-        s.add_tree_text(FIG2).expect("Fig. 2 tree");
-        s.compress_frontier().expect("frontier");
-        s.select_bound(bound).expect("feasible bound");
-        s.warm_up().expect("engine compile");
-        s
-    };
-    let mut flat = build();
-    let mut dag = build();
-    let sw = Stopwatch::start();
-    let report = dag.compile_dag().expect("a selected session compiles");
-    let compile_ms = sw.elapsed_ms();
-
-    let mut table = Table::new([
-        "program",
-        "terms (flat → dag)",
-        "slots",
-        "multiplies (flat → dag)",
-        "op ratio",
-    ])
-    .numeric();
-    for (label, s) in [("full", report.full), ("compressed", report.compressed)] {
-        table.row([
-            label.into(),
-            format!(
-                "{} → {}",
-                thousands(s.flat_terms as u64),
-                thousands(s.dag_terms as u64)
-            ),
-            thousands(s.num_slots as u64),
-            format!(
-                "{} → {}",
-                thousands(s.flat_multiply_ops),
-                thousands(s.dag_multiply_ops)
-            ),
-            format!("{:.2}×", s.op_ratio()),
-        ]);
-    }
-    println!("{}", table.to_markdown());
-    let op_ratio = report.full.op_ratio();
-    assert!(
-        op_ratio >= 1.5,
-        "tentpole gate: full-side multiply reduction {op_ratio:.2}x < 1.5x"
-    );
-    println!(
-        "Full provenance: {} monomials, bound {}; both DAG programs \
-         compiled (rewrite + engine build, exact and `f64` twins) in \
-         {compile_ms:.0} ms. The multiply-op reduction **{op_ratio:.2}×** \
-         clears the ≥1.5× tentpole gate (asserted in-run): every zip \
-         polynomial spells out the same leaf×month products, so the pair \
-         miner hoists each product into one slot evaluated once per \
-         scenario and every output term drops to a single \
-         coefficient×slot multiply.\n",
-        thousands(full_size),
-        thousands(bound),
-    );
-
-    // ---- in-run bit-identity: the exact path through the slot programs ----
-    let exact_grid = scenarios::telephony_grid_steps(flat.registry_mut(), [2; 3]);
-    let exact = |s: &CobraSession| {
-        kernel::with_target(KernelTarget::Auto, || {
-            s.sweep_fold(&exact_grid, MaxAbsError::new(), folds::step)
-                .expect("compressed")
-        })
-    };
-    let flat_exact = exact(&flat);
-    let dag_exact = exact(&dag);
-    assert_eq!(
-        (
-            flat_exact.max_abs_error,
-            flat_exact.argmax_abs,
-            flat_exact.max_rel_error,
-            flat_exact.argmax_rel
-        ),
-        (
-            dag_exact.max_abs_error,
-            dag_exact.argmax_abs,
-            dag_exact.max_rel_error,
-            dag_exact.argmax_rel
-        ),
-        "the exact path through the DAG programs must be bit-identical to flat"
-    );
-
-    // ---- end to end: sweep_fold_f64 under `auto`, flat vs DAG session ----
-    // 16³ = 4096 scenarios: every `f64` sweep re-evaluates up to
-    // [`F64_PROBES`] scenarios exactly (≈3 ms each at this provenance
-    // scale, identical flat twins on both sides — see `probe_programs`),
-    // a fixed ~50 ms per sweep that would otherwise swamp the
-    // per-scenario number on a small grid. At 4096 scenarios the probes
-    // amortize to ~12 µs/scenario and the measurement reflects
-    // steady-state sweep throughput.
-    let grid = scenarios::telephony_grid_steps(flat.registry_mut(), [16; 3]);
-    let timed = |s: &CobraSession| {
-        kernel::with_target(KernelTarget::Auto, || {
-            time_best_of(1, 3, || {
-                s.sweep_fold_f64(&grid, MaxAbsError::new(), folds::step)
-                    .expect("compressed")
-            })
-        })
-    };
-    let (_, flat_t) = timed(&flat);
-    let (_, dag_t) = timed(&dag);
-    let flat_us = flat_t.as_secs_f64() * 1e6 / grid.len() as f64;
-    let dag_us = dag_t.as_secs_f64() * 1e6 / grid.len() as f64;
-    let sweep_speedup = flat_us / dag_us;
-
-    // The `f64` slot programs reassociate, so instead of bit-identity
-    // the DAG run must land within the *sum* of the two Higham
-    // certificates the bounded engine proves for each run.
-    let bounded = |s: &CobraSession| {
-        kernel::with_target(KernelTarget::Auto, || {
-            s.sweep_fold_f64_bounded(
-                &grid,
-                SweepBudget::unlimited(),
-                MaxAbsError::new(),
-                folds::step,
-            )
-            .expect("compressed")
-        })
-    };
-    let (dag_out, dag_cert) = bounded(&dag);
-    let (flat_out, flat_cert) = bounded(&flat);
-    let drift = (dag_out.into_fold().max_abs_error - flat_out.into_fold().max_abs_error).abs();
-    let certificate = dag_cert.max_abs_bound + flat_cert.max_abs_bound;
-    assert!(
-        drift <= certificate,
-        "DAG drift {drift:e} exceeds the summed Higham certificate {certificate:e}"
-    );
-
-    let mut table = Table::new([
-        "`sweep_fold_f64` (auto kernel)",
-        "per scenario (best of 3)",
-        "vs flat",
-    ])
-    .numeric();
-    table.row(["flat programs".into(), format!("{flat_us:.1} µs"), "—".into()]);
-    table.row([
-        "DAG programs".into(),
-        format!("{dag_us:.1} µs"),
-        format!("{sweep_speedup:.2}×"),
-    ]);
-    println!("{}", table.to_markdown());
-    println!(
-        "End to end the DAG session sweeps **{sweep_speedup:.2}×** faster \
-         than its flat twin over the same {}-scenario grid (target ≥1.3× \
-         under `auto`) — the slot pass reuses each leaf×month product \
-         across all {} zip rows instead of recomputing it per term. Both \
-         sides include the same 16 exact divergence probes, amortized by \
-         the grid size. The \
-         exact (`Rat`) fold above was asserted bit-identical between the \
-         two sessions on this run (rearrangement is exact in the ring; \
-         property-pinned across kernels and threads in tests/dag_diff.rs), \
-         and the `f64` aggregate drift, {drift:.1e}, sits inside the \
-         summed Higham certificate {certificate:.1e} proved by the \
-         bounded engine.\n",
-        thousands(grid.len() as u64),
-        thousands(w.config.zips as u64),
-    );
-}
-
-/// E16 — incremental provenance: `apply_delta` on a live session vs the
-/// pre-delta workflow (regenerate the polynomials, recompile every
-/// engine, replan the frontier, re-select the bound).
-fn e16_incremental(customers: usize) {
-    use cobra_core::PolyDelta;
-    use cobra_provenance::{Monomial, PolySet};
-    use cobra_util::{Rat, Stopwatch};
-
-    println!("## E16 — incremental provenance: delta patch vs full rebuild\n");
-
-    const FIG2: &str =
-        "Plans(Standard(p1,p2), Special(Y(y1,y2,y3), F(f1,f2), v), Business(SB(b1,b2), e))";
-    let w = telephony_workload(customers);
-    let full_size = w.polys.total_monomials() as u64;
-    let bound = scale_bound(PAPER_BOUNDS[0].0, w.config.zips);
-    let build = |polys: &PolySet<Rat>| {
-        let mut s = CobraSession::new(w.reg.clone(), polys.clone());
-        s.add_tree_text(FIG2).expect("Fig. 2 tree");
-        s.compress_frontier().expect("frontier");
-        s.select_bound(bound).expect("feasible bound");
-        s.warm_up().expect("engine compile");
-        s
-    };
-
-    // The churn set: 1% of the monomials, spread evenly over every
-    // polynomial — a coefficient reprice (the interactive edit COBRA's
-    // UI issues when a tariff changes), so the patch stays on the
-    // in-place splice path and the answers must stay bit-identical.
-    let stride = 100usize;
-    let targets: Vec<(usize, Monomial, Rat)> = {
-        let mut out = Vec::new();
-        let mut k = 0usize;
-        for p in 0..w.polys.len() {
-            for (m, c) in w.polys.poly(p).expect("poly index").terms() {
-                if k.is_multiple_of(stride) {
-                    out.push((p, m.clone(), *c));
-                }
-                k += 1;
-            }
-        }
-        out
-    };
-    let edits = targets.len();
-    let delta_for = |round: i128| {
-        let factor = Rat::new(100 + round, 100);
-        let mut delta = PolyDelta::new();
-        for (p, m, c) in &targets {
-            delta.set(*p, m.clone(), *c * factor);
-        }
-        delta
-    };
-
-    // Incremental path: one warm session absorbs three successive
-    // repricing rounds; each round scales the *original* coefficients by
-    // a fresh factor so no edit is ever a no-op. Best round is reported.
-    let mut live = build(&w.polys);
-    let mut patch_best = f64::MAX;
-    for round in 1..=3i128 {
-        let delta = delta_for(round);
-        let sw = Stopwatch::start();
-        let report = live.apply_delta(&delta).expect("coeff-only delta");
-        patch_best = patch_best.min(sw.elapsed_ms());
-        assert!(!report.is_structural(), "repricing must stay coeff-only");
-    }
-
-    // Rebuild path: the same final edit applied to the polynomials, then
-    // the whole pipeline from scratch — group analysis, frontier
-    // planning, cut application, all four engine compiles.
-    let mut patched = w.polys.clone();
-    patched.apply_delta(&delta_for(3)).expect("delta applies");
-    let (rebuilt, rebuild) = time_best_of(0, 3, || build(&patched));
-    let rebuild_ms = rebuild.as_secs_f64() * 1e3;
-
-    // The differential check the suite pins at paper scale, sampled
-    // here too: patched live session ≡ fresh rebuild on an exact assign.
-    let mut probe = Valuation::with_default(Rat::ONE);
-    probe.set(w.reg.lookup("m3").expect("m3"), Rat::new(4, 5));
-    let live_rows = live.assign(&probe).expect("assign");
-    let fresh_rows = rebuilt.assign(&probe).expect("assign");
-    let identical = live_rows
-        .rows
-        .iter()
-        .zip(&fresh_rows.rows)
-        .all(|(a, b)| a.full == b.full && a.compressed == b.compressed);
-    assert!(identical, "patched session diverged from fresh rebuild");
-
-    let speedup = rebuild_ms / patch_best;
-    let mut table = Table::new(["update path", "wall clock (best of 3)", "speedup"]).numeric();
-    table.row([
-        format!("apply_delta ({} edits, 1% churn)", thousands(edits as u64)),
-        format!("{patch_best:.2} ms"),
-        format!("{speedup:.1}×"),
-    ]);
-    table.row([
-        "regenerate → recompile → replan".into(),
-        format!("{rebuild_ms:.1} ms"),
-        "—".into(),
-    ]);
-    println!("{}", table.to_markdown());
-    println!(
-        "Full provenance: {} monomials; bound {} selected on both paths; \
-         churn = every {}th monomial repriced ({} edits per round). The \
-         delta path splices coefficients into the compiled CSR programs \
-         and leaves plans, frontier and engines warm; the rebuild path \
-         pays group analysis, frontier planning, cut application and \
-         four engine compiles again. Exact assign rows on the patched \
-         session match the fresh rebuild bit for bit (asserted on this \
-         run, and property-pinned at paper scale in tests/delta_diff.rs).\n",
-        thousands(full_size),
-        thousands(bound),
-        stride,
-        thousands(edits as u64),
     );
 }

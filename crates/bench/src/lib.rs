@@ -1,8 +1,8 @@
 //! Shared harness for the experiment reproduction.
 //!
-//! Each experiment in DESIGN.md's index (E1–E8, A1–A3) has a function in
-//! the `experiments` binary; this library holds the workload builders and
-//! formatting helpers they share with the criterion benches.
+//! Each paper table (E1–E8) and ablation (A1–A4) has a function in the
+//! `experiments` binary; this library holds the workload builders and
+//! formatting helpers they share.
 
 use cobra_core::tree::AbstractionTree;
 use cobra_datagen::telephony::{Telephony, TelephonyConfig};
@@ -39,7 +39,8 @@ pub fn telephony_workload(customers: usize) -> TelephonyWorkload {
 }
 
 /// Scales one of the paper's 1M-customer bounds to a smaller zip count
-/// (the bounds are per-zip budgets in disguise; see DESIGN.md).
+/// (the bounds are per-zip budgets in disguise: every zip contributes the
+/// same `plans × months` monomials, and the paper's scale has 1055 zips).
 pub fn scale_bound(bound_at_paper_scale: u64, zips: usize) -> u64 {
     bound_at_paper_scale * zips as u64 / 1055
 }

@@ -7,8 +7,8 @@
 //! system reports the result deltas and the **assignment speedup**.
 
 use crate::cut::MetaVar;
-use cobra_provenance::{Coeff, DenseValuation, PolySet, Valuation, Var};
-use cobra_util::timing::{speedup_percent, time_best_of};
+use cobra_provenance::{Coeff, PolySet, Valuation, Var};
+use cobra_util::timing::speedup_percent;
 use cobra_util::Rat;
 use std::time::Duration;
 
@@ -187,38 +187,6 @@ impl SpeedupMeasurement {
     }
 }
 
-/// Measures assignment time on the `f64` fast path with dense valuations,
-/// best-of-`runs` after `warmup` runs.
-pub fn measure_assignment_speedup(
-    full: &PolySet<f64>,
-    compressed: &PolySet<f64>,
-    full_val: &DenseValuation<f64>,
-    meta_val: &DenseValuation<f64>,
-    warmup: usize,
-    runs: usize,
-) -> SpeedupMeasurement {
-    let (_, full_time) = time_best_of(warmup, runs, || {
-        let out = full.eval_dense(full_val);
-        std::hint::black_box(out.len())
-    });
-    let (_, compressed_time) = time_best_of(warmup, runs, || {
-        let out = compressed.eval_dense(meta_val);
-        std::hint::black_box(out.len())
-    });
-    SpeedupMeasurement {
-        full_time,
-        compressed_time,
-        full_size: full.total_monomials(),
-        compressed_size: compressed.total_monomials(),
-    }
-}
-
-/// Builds a dense valuation over all registered variables from a sparse
-/// one (fallback 1 = "unchanged" semantics of multiplicative parameters).
-pub fn densify<C: Coeff>(val: &Valuation<C>, num_vars: usize) -> DenseValuation<C> {
-    DenseValuation::from_valuation(val, num_vars, C::one())
-}
-
 /// A scenario assigning `factor` to every variable in `vars` (and 1, i.e.
 /// "unchanged", elsewhere) — the paper's "what if the ppm of the business
 /// calling plans are increased by 10%" style of hypothetical.
@@ -326,20 +294,6 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         // projecting back recovers the meta value exactly
         let back = project_scenario(&applied.meta_vars, &leaves);
         assert_eq!(back.get(business), Some(rat("0.8")));
-    }
-
-    #[test]
-    fn speedup_measurement_reports_sizes() {
-        let (reg, _, set, applied) = setup();
-        let full64 = set.to_f64_set();
-        let comp64 = applied.compressed.to_f64_set();
-        let ones: Valuation<f64> = Valuation::with_default(1.0);
-        let dense = densify(&ones, reg.len());
-        let m = measure_assignment_speedup(&full64, &comp64, &dense, &dense, 1, 3);
-        assert_eq!(m.full_size, 14);
-        assert_eq!(m.compressed_size, 6);
-        assert!(m.full_time > Duration::ZERO);
-        assert!(m.speedup_percent() <= 100.0);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! that needs polynomial form (a cold frontier selection's group
 //! analysis). Restoring from a [`LoadedArtifact`] aliases the mapped file
 //! for every CSR array — the cold-start cost is one `mmap` plus header
-//! validation, not a recompilation (experiment E14 measures the gap).
+//! validation, not a recompilation (the benchmark's `reload_p25_ms`
+//! against `prepare_p25_ms` is the gap).
 //!
 //! ```
 //! use cobra_core::{restore_session_from_bytes, snapshot_session, CobraSession};
@@ -43,7 +44,7 @@ use crate::session::{CobraSession, ForestFrontierState, FrontierState, WarmEngin
 use crate::tree::AbstractionTree;
 use cobra_provenance::persist::{self, tags};
 use cobra_provenance::{
-    ArtifactReader, ArtifactWriter, BatchEvaluator, DagOptions, LoadedArtifact, Valuation, Var,
+    ArtifactReader, ArtifactWriter, BatchEvaluator, LoadedArtifact, Valuation, Var,
     VarRegistry,
 };
 use cobra_util::{AlignedBytes, FxHashMap, FxHashSet, Rat};
@@ -364,9 +365,6 @@ fn restore_from_reader(
         }),
         forest: None::<ForestFrontierState>,
         dag_mode,
-        // Options are not persisted: a restored session re-arms under the
-        // defaults (compile_dag_with can override after the fact).
-        dag_opts: DagOptions::default(),
         dag_full_rat: OnceCell::new(),
         dag_full_f64: OnceCell::new(),
         trace: Vec::new(),

@@ -21,10 +21,7 @@
 //! * [`planner`] — the **unified compression planner**: one
 //!   [`CutPlanner`] interface (`plan` one bound, `plan_frontier` the whole
 //!   Pareto curve) over a shared [`PlanContext`] of memoized cut
-//!   statistics, implemented by [`ExactDp`], [`Greedy`] and [`BruteForce`];
-//!   plus the orthogonal [`DagOptimizer`] axis ([`AlgebraicDag`],
-//!   [`ProductCse`]) selecting the algebraic rewrite behind
-//!   [`CobraSession::compile_dag`].
+//!   statistics, implemented by [`ExactDp`] and [`Greedy`].
 //! * [`dp`] — the exact PTIME optimizer: bottom-up tree-knapsack dynamic
 //!   programming, plus the expressiveness/size Pareto frontier (thin
 //!   wrappers over the planner).
@@ -133,12 +130,12 @@ pub use cobra_provenance::{
     DagOptions, DagStats, DeltaAction, DeltaError, DeltaOp, DeltaReport, PolyDelta,
 };
 pub use planner::{
-    AlgebraicDag, BruteForce, CutFrontier, CutPlanner, DagOptimizer, ExactDp, FrontierPoint,
-    Greedy, NodeStats, PlanContext, PlanSnapshot, PlannedCut, ProductCse,
+    CutFrontier, CutPlanner, ExactDp, FrontierPoint, Greedy, NodeStats, PlanContext, PlanSnapshot,
+    PlannedCut,
 };
 pub use folds::{MergeFold, SweepFold};
 pub use scenario::{
-    fold_program_sweep_par, measure_sweep_speedup, Approx, Certified, CompiledComparison,
+    fold_program_sweep_par, Approx, Certified, CompiledComparison,
     ErrorShadow, Exact, F64Divergence, F64ErrorBound, F64ScenarioSweep, FoldItem, PairBinder,
     Precision, ScenarioSweep,
 };

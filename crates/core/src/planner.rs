@@ -20,13 +20,14 @@
 //!   interactive bound sweep (the companion demo plots the whole
 //!   trade-off curve, not a single point).
 //!
-//! Three planners implement the interface:
+//! Two planners implement the interface:
 //!
 //! * [`ExactDp`] — the paper's PTIME bottom-up tree knapsack (optimal).
 //! * [`Greedy`] — agglomerative coarsening from the leaf cut (baseline).
-//! * [`BruteForce`] — exhaustive cut enumeration with candidate scoring
-//!   fanned across workers ([`cobra_util::par`]); the in-production
-//!   sibling of the application-measured test oracle in [`crate::brute`].
+//!
+//! Exhaustive search is a test oracle, not a planner: [`crate::brute`]
+//! measures real applications, and this module's tests keep an
+//! enumerate-and-score reference behind the same interface.
 //!
 //! ```
 //! use cobra_core::planner::{CutPlanner, ExactDp, PlanContext};
@@ -47,11 +48,10 @@
 //! assert_eq!(ExactDp.plan(&ctx, 3).unwrap().size, 3);
 //! ```
 
-use crate::cut::{enumerate_cuts, Cut};
+use crate::cut::Cut;
 use crate::error::{CoreError, Result};
 use crate::groups::GroupAnalysis;
 use crate::tree::{AbstractionTree, NodeId};
-use cobra_provenance::DagOptions;
 use cobra_util::par;
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -374,7 +374,7 @@ impl CutFrontier {
 /// ([`plan`](Self::plan)) or produce the whole trade-off curve in one
 /// pass ([`plan_frontier`](Self::plan_frontier)).
 pub trait CutPlanner {
-    /// A short human-readable planner name (reports, benches).
+    /// A short human-readable planner name (reports).
     fn name(&self) -> &'static str;
 
     /// The full Pareto frontier of this planner's attainable cuts.
@@ -651,137 +651,6 @@ impl CutPlanner for Greedy {
     }
 }
 
-/// The exhaustive planner: enumerates every cut (bounded by `limit`) and
-/// scores candidates **in parallel** over the shared statistics — the
-/// production sibling of the application-measured oracle in
-/// [`crate::brute`] (which stays independent precisely so tests can pin
-/// this planner against it).
-#[derive(Clone, Copy, Debug)]
-pub struct BruteForce {
-    /// Maximum number of cuts to enumerate before giving up with
-    /// [`CoreError::TooManyCuts`].
-    pub limit: usize,
-}
-
-impl BruteForce {
-    /// A planner enumerating at most `limit` cuts.
-    pub fn new(limit: usize) -> BruteForce {
-        BruteForce { limit }
-    }
-}
-
-impl Default for BruteForce {
-    fn default() -> Self {
-        BruteForce::new(100_000)
-    }
-}
-
-impl CutPlanner for BruteForce {
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-
-    fn plan_frontier(&self, ctx: &PlanContext<'_>) -> Result<CutFrontier> {
-        let cuts = enumerate_cuts(ctx.tree, self.limit)?;
-        let max_k = ctx.tree.num_leaves();
-        // Candidate scoring fanned across workers: each span reduces to a
-        // per-cardinality (size, cut index) minimum; partials merge in
-        // ascending span order, ties prefer the lower cut index, so the
-        // result is independent of the thread count. (The analysis — not
-        // the OnceCell-carrying context — crosses the thread boundary.)
-        let analysis = ctx.analysis;
-        let best_per_k = par::par_map_reduce(
-            cuts.len(),
-            64,
-            |range| {
-                let mut best: Vec<Option<(u64, usize)>> = vec![None; max_k + 1];
-                for i in range {
-                    let cut = &cuts[i];
-                    let size = analysis.compressed_size(cut.nodes());
-                    let slot = &mut best[cut.len()];
-                    if slot.is_none_or(|(s, _)| size < s) {
-                        *slot = Some((size, i));
-                    }
-                }
-                best
-            },
-            |mut a, b| {
-                for (sa, sb) in a.iter_mut().zip(b) {
-                    if let Some((size_b, idx_b)) = sb {
-                        if sa.is_none_or(|(size_a, _)| size_b < size_a) {
-                            *sa = Some((size_b, idx_b));
-                        }
-                    }
-                }
-                a
-            },
-        )
-        .expect("enumerate_cuts yields at least the root cut");
-        let points: Vec<FrontierPoint> = best_per_k
-            .into_iter()
-            .enumerate()
-            .filter_map(|(k, slot)| {
-                slot.map(|(size, idx)| FrontierPoint {
-                    variables: k,
-                    size,
-                    cut: cuts[idx].clone(),
-                })
-            })
-            .collect();
-        Ok(CutFrontier::from_points(points))
-    }
-}
-
-/// The **algebraic** optimizer interface — the DAG sibling of
-/// [`CutPlanner`]. Cut planners shrink the provenance itself by merging
-/// variables; a `DagOptimizer` leaves the polynomials untouched and
-/// instead factors their *evaluation* into a shared-subterm DAG program
-/// ([`cobra_provenance::dag`]), cutting the multiplies each scenario
-/// costs. The two axes compose:
-/// [`CobraSession::compile_dag_with`](crate::CobraSession::compile_dag_with)
-/// rewrites whatever programs the current cut selection evaluates.
-pub trait DagOptimizer {
-    /// A short human-readable optimizer name (reports, benches).
-    fn name(&self) -> &'static str;
-
-    /// The rewrite configuration handed to
-    /// [`cobra_provenance::dag::rewrite`].
-    fn options(&self) -> DagOptions;
-}
-
-/// The full three-pass algebraic pipeline — power-product CSE, shared-pair
-/// mining and Horner restructuring at the default bounds
-/// ([`DagOptions::default`]). The optimizer behind
-/// [`CobraSession::compile_dag`](crate::CobraSession::compile_dag).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AlgebraicDag;
-
-impl DagOptimizer for AlgebraicDag {
-    fn name(&self) -> &'static str {
-        "algebraic-dag"
-    }
-
-    fn options(&self) -> DagOptions {
-        DagOptions::default()
-    }
-}
-
-/// Power-product CSE alone (pair mining and Horner disabled) — the
-/// ablation baseline isolating what plain hash-consing of complete power
-/// products buys ([`DagOptions::cse_only`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProductCse;
-
-impl DagOptimizer for ProductCse {
-    fn name(&self) -> &'static str {
-        "product-cse"
-    }
-
-    fn options(&self) -> DagOptions {
-        DagOptions::cse_only()
-    }
-}
-
 /// Builds one node's knapsack table from its children's (already filled)
 /// tables — the shared body of the full bottom-up build and the
 /// dirty-path rebuild in [`PlanContext::new_incremental`]. Depends only
@@ -886,6 +755,87 @@ fn reconstruct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut::enumerate_cuts;
+
+    /// The exhaustive reference planner: enumerates every cut (bounded by
+    /// `limit`) and scores candidates in parallel over the shared
+    /// statistics. Test-only — it pins [`ExactDp`] from inside the planner
+    /// interface, beside the application-measured oracle in [`crate::brute`].
+    #[derive(Clone, Copy, Debug)]
+    struct BruteForce {
+        /// Maximum number of cuts to enumerate before giving up with
+        /// [`CoreError::TooManyCuts`].
+        limit: usize,
+    }
+
+    impl BruteForce {
+        /// A planner enumerating at most `limit` cuts.
+        fn new(limit: usize) -> BruteForce {
+            BruteForce { limit }
+        }
+    }
+
+    impl Default for BruteForce {
+        fn default() -> Self {
+            BruteForce::new(100_000)
+        }
+    }
+
+    impl CutPlanner for BruteForce {
+        fn name(&self) -> &'static str {
+            "brute-force"
+        }
+
+        fn plan_frontier(&self, ctx: &PlanContext<'_>) -> Result<CutFrontier> {
+            let cuts = enumerate_cuts(ctx.tree, self.limit)?;
+            let max_k = ctx.tree.num_leaves();
+            // Candidate scoring fanned across workers: each span reduces to a
+            // per-cardinality (size, cut index) minimum; partials merge in
+            // ascending span order, ties prefer the lower cut index, so the
+            // result is independent of the thread count. (The analysis — not
+            // the OnceCell-carrying context — crosses the thread boundary.)
+            let analysis = ctx.analysis;
+            let best_per_k = par::par_map_reduce(
+                cuts.len(),
+                64,
+                |range| {
+                    let mut best: Vec<Option<(u64, usize)>> = vec![None; max_k + 1];
+                    for i in range {
+                        let cut = &cuts[i];
+                        let size = analysis.compressed_size(cut.nodes());
+                        let slot = &mut best[cut.len()];
+                        if slot.is_none_or(|(s, _)| size < s) {
+                            *slot = Some((size, i));
+                        }
+                    }
+                    best
+                },
+                |mut a, b| {
+                    for (sa, sb) in a.iter_mut().zip(b) {
+                        if let Some((size_b, idx_b)) = sb {
+                            if sa.is_none_or(|(size_a, _)| size_b < size_a) {
+                                *sa = Some((size_b, idx_b));
+                            }
+                        }
+                    }
+                    a
+                },
+            )
+            .expect("enumerate_cuts yields at least the root cut");
+            let points: Vec<FrontierPoint> = best_per_k
+                .into_iter()
+                .enumerate()
+                .filter_map(|(k, slot)| {
+                    slot.map(|(size, idx)| FrontierPoint {
+                        variables: k,
+                        size,
+                        cut: cuts[idx].clone(),
+                    })
+                })
+                .collect();
+            Ok(CutFrontier::from_points(points))
+        }
+    }
     use crate::tree::paper_plans_tree;
     use cobra_provenance::{parse_polyset, PolySet, VarRegistry};
     use cobra_util::Rat;
@@ -1089,16 +1039,5 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
     fn planner_names() {
         assert_eq!(ExactDp.name(), "exact-dp");
         assert_eq!(Greedy.name(), "greedy");
-        assert_eq!(BruteForce::default().name(), "brute-force");
-    }
-
-    #[test]
-    fn dag_optimizers_resolve_to_their_rewrite_options() {
-        assert_eq!(AlgebraicDag.name(), "algebraic-dag");
-        assert_eq!(ProductCse.name(), "product-cse");
-        let full = AlgebraicDag.options();
-        assert!(full.product_cse && full.pair_mining && full.horner);
-        let cse = ProductCse.options();
-        assert!(cse.product_cse && !cse.pair_mining && !cse.horner);
     }
 }

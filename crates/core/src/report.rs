@@ -91,11 +91,9 @@ impl fmt::Display for CompressionReport {
 
 /// Summary of one [`compile_dag`](crate::CobraSession::compile_dag) run:
 /// the per-side rewrite accounting of the algebraic compression, in the
-/// units the experiment gate measures (static multiplies per scenario).
-#[derive(Clone, Copy, Debug)]
+/// units the benchmark reports (static multiplies per scenario).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DagReport {
-    /// Name of the [`DagOptimizer`](crate::planner::DagOptimizer) that ran.
-    pub optimizer: &'static str,
     /// Rewrite statistics of the full-provenance program.
     pub full: DagStats,
     /// Rewrite statistics of the compressed-side program.
@@ -104,7 +102,7 @@ pub struct DagReport {
 
 impl DagReport {
     /// The full-side op-reduction factor (`flat / dag` multiplies) — the
-    /// number experiment e17 gates at ≥ 1.5 on the telephony workload.
+    /// benchmark's `provenance.dag.op_ratio`.
     pub fn op_ratio(&self) -> f64 {
         self.full.op_ratio()
     }
@@ -112,7 +110,6 @@ impl DagReport {
     /// Renders as a two-column table.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(["metric", "value"]).numeric();
-        t.row(["optimizer".to_owned(), self.optimizer.to_owned()]);
         for (side, stats) in [("full", &self.full), ("compressed", &self.compressed)] {
             t.row([
                 format!("slots ({side})"),
@@ -219,13 +216,11 @@ mod tests {
             dag_multiply_ops: dag_ops,
         };
         let r = DagReport {
-            optimizer: "algebraic-dag",
             full: stats(278_520, 139_524),
             compressed: stats(100, 80),
         };
         assert!((r.op_ratio() - 278_520.0 / 139_524.0).abs() < 1e-9);
         let s = r.to_string();
-        assert!(s.contains("algebraic-dag"));
         assert!(s.contains("multiplies (full)"));
         assert!(s.contains("278,520"));
         assert!(s.contains("multiplies (compressed)"));

@@ -100,7 +100,8 @@ impl<C> Copy for FoldItem<'_, C> {}
 /// an *empirical spot check* of floating-point rounding (coefficients,
 /// binding and evaluation all round), not a proven worst-case bound —
 /// for SPJ-style provenance with well-scaled coefficients it sits at the
-/// unit-roundoff scale (≈1e-16, see the `e10` experiment).
+/// unit-roundoff scale (≈1e-16; `tests/fold_sweep.rs` and
+/// `tests/engine_diff.rs` hold it under 1e-12 on random programs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct F64Divergence {
     /// Number of scenarios re-evaluated exactly.
@@ -533,7 +534,7 @@ impl CompiledComparison {
     /// full/compressed row pairs, mapping each value through `map` — the
     /// shared project-and-bind loop behind both the exact sweep and the
     /// `f64` timing path
-    /// ([`CobraSession::measure_batch_speedup`](crate::session::CobraSession::measure_batch_speedup)).
+    /// ([`CobraSession::measure_speedup`](crate::session::CobraSession::measure_speedup)).
     /// `map` is typically the identity (exact rows) or `Rat::to_f64`
     /// (timing rows; the `f64` shadow programs share this program's
     /// variable numbering, so the rows bind directly).
@@ -1663,12 +1664,12 @@ impl<'a> PairBinder<'a> {
     }
 }
 
-/// Times a batched sweep of `scenarios` over the full and the compressed
-/// provenance on the `f64` fast path — the batched generalization of
-/// [`assign::measure_assignment_speedup`]. Reported durations cover the
-/// *whole batch* (binding excluded, evaluation only), best-of-`runs` after
-/// `warmup` rounds.
-pub fn measure_sweep_speedup(
+/// Times a batched sweep over the full and the compressed provenance on
+/// the `f64` fast path — the engine-level half of
+/// [`CobraSession::measure_speedup`](crate::CobraSession::measure_speedup).
+/// Reported durations cover the *whole batch* (binding excluded,
+/// evaluation only), best-of-`runs` after `warmup` rounds.
+pub(crate) fn measure_sweep_speedup(
     full: &BatchEvaluator<f64>,
     compressed: &BatchEvaluator<f64>,
     full_rows: &[Vec<f64>],

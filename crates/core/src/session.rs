@@ -25,9 +25,7 @@ use crate::groups::GroupAnalysis;
 use crate::multi::{
     optimize_forest_descent, optimize_single_tree, plan_forest_frontier, ForestFrontier,
 };
-use crate::planner::{
-    AlgebraicDag, CutFrontier, CutPlanner, DagOptimizer, ExactDp, PlanContext, PlanSnapshot,
-};
+use crate::planner::{CutFrontier, CutPlanner, ExactDp, PlanContext, PlanSnapshot};
 use crate::report::{CompressionReport, DagReport};
 use crate::scenario::{
     measure_sweep_speedup, Approx, Certified, CompiledComparison, ErrorShadow, Exact,
@@ -161,8 +159,6 @@ pub struct CobraSession {
     /// when armed, every evaluation surface resolves to the DAG-rewritten
     /// engines instead of the flat ones.
     pub(crate) dag_mode: bool,
-    /// The rewrite configuration of the armed optimizer.
-    pub(crate) dag_opts: DagOptions,
     /// DAG rewrite of the session-invariant full-side exact engine, built
     /// lazily in armed mode and dropped whenever a delta patches the flat
     /// program it was rewritten from.
@@ -340,7 +336,6 @@ impl CobraSession {
             frontier: None,
             forest: None,
             dag_mode: false,
-            dag_opts: DagOptions::default(),
             dag_full_rat: OnceCell::new(),
             dag_full_f64: OnceCell::new(),
             trace: Vec::new(),
@@ -403,7 +398,8 @@ impl CobraSession {
         }
         state.dag_engines.get_or_init(|| {
             let flat = self.flat_engines(state);
-            let compressed = dag::rewrite(flat.compressed.program(), &self.dag_opts).program;
+            let compressed =
+                dag::rewrite(flat.compressed.program(), &DagOptions::default()).program;
             // The flat engines ride along as probe twins: DAG programs
             // never lower to the fixed-point exact kernel, so the `f64`
             // sweeps' divergence probes evaluate the (bit-identical) flat
@@ -420,7 +416,7 @@ impl CobraSession {
     /// only), shared by every selection the way the flat full engine is.
     fn dag_full_engine(&self) -> &BatchEvaluator<Rat> {
         self.dag_full_rat.get_or_init(|| {
-            let build = dag::rewrite(self.full_engine().program(), &self.dag_opts);
+            let build = dag::rewrite(self.full_engine().program(), &DagOptions::default());
             BatchEvaluator::new(build.program)
         })
     }
@@ -918,7 +914,8 @@ impl CobraSession {
     /// is **identical** to `set_bound(bound)` +
     /// [`compress`](Self::compress) (report, cut and sweep results;
     /// property-pinned in `tests/planner.rs`), at a fraction of the cost
-    /// (experiment E12 measures the gap at paper scale).
+    /// (the benchmark's `core.select.{cold,warm}_ms` and
+    /// `select_bound_p50_ms` against `core.plan.frontier_ms`).
     ///
     /// Like every predicted size in the optimizer pipeline, the report's
     /// `compressed_size` comes from the additive group formula, which
@@ -1382,9 +1379,9 @@ impl CobraSession {
     }
 
     /// Arms (or disarms) algebraic compression without requiring a
-    /// selection: once armed, engines rewrite into DAG programs (under
-    /// the current options) lazily as they are first built — the way a
-    /// service prepares a session before any bound is chosen.
+    /// selection: once armed, engines rewrite into DAG programs lazily
+    /// as they are first built — the way a service prepares a session
+    /// before any bound is chosen.
     /// [`compile_dag`](Self::compile_dag) additionally forces the
     /// rewrite of the current selection and reports its accounting.
     /// Disarming flips evaluation back to the (still cached) flat
@@ -1394,9 +1391,12 @@ impl CobraSession {
     }
 
     /// Rewrites both compiled engines of the current selection — full and
-    /// compressed — into shared-subterm DAG programs with the default
-    /// [`AlgebraicDag`] optimizer, and arms them for every subsequent
-    /// evaluation.
+    /// compressed — into shared-subterm DAG programs (the full
+    /// three-pass pipeline of [`DagOptions::default`]: power-product CSE,
+    /// shared-pair mining, Horner restructuring) and arms them for every
+    /// subsequent evaluation. The rewrite has one configuration, so DAG
+    /// engines already built for the current selection are reused: a
+    /// repeated call only reads the accounting back.
     ///
     /// Algebraic compression composes with — it does not replace —
     /// cut-based abstraction: [`compress`](Self::compress) (or
@@ -1430,37 +1430,11 @@ impl CobraSession {
     /// [`compress`](Self::compress) or [`select_bound`](Self::select_bound)
     /// first).
     pub fn compile_dag(&mut self) -> Result<DagReport> {
-        self.compile_dag_with(&AlgebraicDag)
-    }
-
-    /// [`compile_dag`](Self::compile_dag) with an explicit
-    /// [`DagOptimizer`] choosing which rewrite passes run (e.g.
-    /// [`ProductCse`](crate::planner::ProductCse) for the CSE-only
-    /// baseline the experiments compare against).
-    ///
-    /// Re-arming with a different optimizer drops every previously built
-    /// DAG engine and rebuilds under the new options; the flat engines
-    /// are never touched, so the rewrite is always reversible.
-    ///
-    /// # Errors
-    /// `Session` if no compression is selected yet.
-    pub fn compile_dag_with(&mut self, optimizer: &dyn DagOptimizer) -> Result<DagReport> {
         self.compressed_state()?;
-        // Re-arm: the options may differ from a previous call, so every
-        // cached rewrite is stale.
-        let _ = self.dag_full_rat.take();
-        let _ = self.dag_full_f64.take();
-        if let Some(c) = &mut self.compressed {
-            c.dag_engines = OnceCell::new();
-            c.dag_comp_f64 = OnceCell::new();
-            c.dag_err_shadow = OnceCell::new();
-        }
-        self.dag_opts = optimizer.options();
         self.dag_mode = true;
         let state = self.compressed.as_ref().expect("checked above");
         let engines = self.engines(state);
         let report = DagReport {
-            optimizer: optimizer.name(),
             full: Self::dag_stats(self.full_engine().program(), engines.full.program()),
             compressed: Self::dag_stats(
                 self.flat_engines(state).compressed.program(),
@@ -1470,9 +1444,8 @@ impl CobraSession {
         let _ = self.f64_engines(state);
         self.log(move || {
             format!(
-                "compiled DAG programs ({}): full {} → {} multiplies ({:.2}×), \
+                "compiled DAG programs: full {} → {} multiplies ({:.2}×), \
                  compressed {} → {} multiplies",
-                report.optimizer,
                 report.full.flat_multiply_ops,
                 report.full.dag_multiply_ops,
                 report.op_ratio(),
@@ -1768,9 +1741,9 @@ impl CobraSession {
     }
 
     /// Sugar for [`fold`](Self::fold)`::<`[`Approx`]`, _>` run to
-    /// completion: the **approximate `f64` fast path** — the E10
-    /// experiment measures 0.12 µs vs 8.2 µs per scenario (~67×) on the
-    /// paper example at 10⁶ grid points. The [`F64Divergence`] next to the
+    /// completion: the **approximate `f64` fast path** (the benchmark's
+    /// `f64_scenarios_per_s` against `core.sweep.exact_scenarios_per_s`
+    /// is what it buys). The [`F64Divergence`] next to the
     /// fold is a measured spot check of the rounding (not a proven
     /// worst-case bound); exactness-critical sweeps should use
     /// [`sweep_fold`](Self::sweep_fold).
@@ -1946,24 +1919,15 @@ impl CobraSession {
         })
     }
 
-    /// Measures the assignment speedup (paper §4) on the `f64` fast path —
-    /// a one-scenario batch through the compiled engines.
+    /// Measures the assignment speedup (paper §4) on the `f64` fast path,
+    /// for one scenario (a `&Valuation` converts) or a whole scenario
+    /// family: both sides are evaluated by the same compiled batch engine,
+    /// so the full-vs-compressed comparison isolates provenance size (the
+    /// paper's variable) from evaluation machinery. Accepts anything
+    /// convertible to a [`ScenarioSet`]; rows are bound once up front
+    /// (timing covers evaluation only), best-of-`runs` after `warmup`
+    /// rounds.
     pub fn measure_speedup(
-        &self,
-        scenario: &Valuation<Rat>,
-        warmup: usize,
-        runs: usize,
-    ) -> Result<SpeedupMeasurement> {
-        self.measure_batch_speedup(scenario, warmup, runs)
-    }
-
-    /// Measures the assignment speedup over a whole scenario family: both
-    /// sides are evaluated by the same compiled batch engine, so the
-    /// full-vs-compressed comparison isolates provenance size (the paper's
-    /// variable) from evaluation machinery. Accepts anything convertible
-    /// to a [`ScenarioSet`]; rows are bound once up front (timing covers
-    /// evaluation only).
-    pub fn measure_batch_speedup(
         &self,
         scenarios: impl Into<ScenarioSet>,
         warmup: usize,
@@ -2091,7 +2055,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         let mut s = session_with_bound(4);
         s.compress().unwrap();
         let m = s
-            .measure_speedup(&Valuation::with_default(Rat::ONE), 1, 3)
+            .measure_speedup(Valuation::with_default(Rat::ONE), 1, 3)
             .unwrap();
         assert_eq!(m.full_size, 14);
         assert_eq!(m.compressed_size, 4);
@@ -2142,7 +2106,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             assert_eq!(single.rows, sweep.comparison(i).rows, "scenario {i}");
         }
         // grids feed the timing path too
-        let m = s.measure_batch_speedup(&grid, 0, 1).unwrap();
+        let m = s.measure_speedup(&grid, 0, 1).unwrap();
         assert_eq!(m.full_size, 14);
     }
 
@@ -2301,7 +2265,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
         s.compress().unwrap();
         let scenarios: Vec<Valuation<Rat>> =
             (0..8).map(|_| Valuation::with_default(Rat::ONE)).collect();
-        let m = s.measure_batch_speedup(&scenarios, 1, 3).unwrap();
+        let m = s.measure_speedup(&scenarios, 1, 3).unwrap();
         assert_eq!(m.full_size, 14);
         assert_eq!(m.compressed_size, 4);
         assert!(m.full_time > Duration::ZERO);
@@ -2764,10 +2728,20 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
 
         let report = s.compile_dag().unwrap();
         assert!(s.dag_mode());
-        assert_eq!(report.optimizer, "algebraic-dag");
         // Factoring never adds multiplies.
         assert!(report.full.dag_multiply_ops <= report.full.flat_multiply_ops);
         assert!(report.compressed.dag_multiply_ops <= report.compressed.flat_multiply_ops);
+        // One rewrite configuration: a repeated call reads the same
+        // accounting back from the DAG engines already built (holding a
+        // handle on the first program keeps its allocation from being
+        // recycled, so a rebuild could not land on the same address).
+        let dag_program = |s: &CobraSession| {
+            let state = s.compressed.as_ref().unwrap();
+            state.dag_engines.get().unwrap().compressed.clone()
+        };
+        let built = dag_program(&s);
+        assert_eq!(s.compile_dag().unwrap(), report);
+        assert!(std::ptr::eq(built.program(), dag_program(&s).program()));
 
         let dag_rows: Vec<_> = {
             let sweep = s.sweep(&scenarios).unwrap();

@@ -9,8 +9,8 @@
 //! compression meaningful (regions group nations; quarters group months).
 //!
 //! COBRA consumes only the polynomials' combinatorial structure — which
-//! (context, variable) pairs occur — which this generator reproduces; see
-//! DESIGN.md's substitution notes.
+//! (context, variable) pairs occur — which this generator reproduces, so
+//! substituting it for `dbgen` does not change what is being compressed.
 
 mod gen;
 mod queries;

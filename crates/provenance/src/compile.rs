@@ -28,7 +28,7 @@ use crate::kernel::{self, FixedProgram, FixedScratch};
 use crate::monomial::Monomial;
 use crate::poly::{Coeff, Polynomial};
 use crate::polyset::PolySet;
-use crate::valuation::{DenseValuation, Valuation};
+use crate::valuation::Valuation;
 use crate::var::Var;
 use cobra_util::kernel::F64Kernel;
 use cobra_util::{par, ArcSlice, DenseRemap, Rat};
@@ -451,22 +451,6 @@ impl<C: Coeff> EvalProgram<C> {
             *slot = val.get(v).ok_or(v)?;
         }
         Ok(())
-    }
-
-    /// Compiles a dense (global-index) valuation into a scenario row.
-    pub fn bind_dense(&self, val: &DenseValuation<C>) -> Vec<C> {
-        self.locals.iter().map(|&v| val.get(v).clone()).collect()
-    }
-
-    /// [`bind_dense`](Self::bind_dense) into a caller-provided row buffer.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != num_locals()`.
-    pub fn bind_dense_into(&self, val: &DenseValuation<C>, row: &mut [C]) {
-        assert_eq!(row.len(), self.num_locals(), "scenario row width");
-        for (slot, &v) in row.iter_mut().zip(&self.locals) {
-            *slot = val.get(v).clone();
-        }
     }
 
     /// Evaluates every polynomial for one scenario row into `out`
@@ -1047,6 +1031,7 @@ mod tests {
     use super::*;
     use crate::monomial::Monomial;
     use crate::poly::Polynomial;
+    use crate::valuation::DenseValuation;
     use crate::var::VarRegistry;
 
     fn rat(s: &str) -> Rat {

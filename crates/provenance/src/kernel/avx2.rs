@@ -13,10 +13,7 @@
 //! `term = c; term *= x_f; acc += term` sequence as the scalar kernel
 //! (exponents through the shared [`pow_f64`] chain), so its results are
 //! **bit-identical** — how lanes are grouped into tiles cannot matter,
-//! because lanes never interact. [`eval_block_fma`] instead fuses the
-//! last factor into the accumulate (`acc = fma(term, x_last, acc)`), one
-//! rounding fewer per term: *not* bit-identical to scalar, but strictly
-//! within the Higham shadow bound (which counts the unfused roundings).
+//! because lanes never interact.
 
 use crate::compile::EvalProgram;
 use cobra_util::kernel::pow_f64;
@@ -37,27 +34,17 @@ pub(crate) unsafe fn eval_block(
     acc: &mut [f64],
     out: &mut [f64],
 ) {
-    eval_block_impl::<false>(prog, width, vals, acc, out);
+    eval_block_impl(prog, width, vals, acc, out);
 }
 
-/// The AVX2+FMA kernel — fused accumulate, certified by the Higham
-/// shadow bound rather than bit-identity.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn eval_block_fma(
-    prog: &EvalProgram<f64>,
-    width: usize,
-    vals: &mut [f64],
-    acc: &mut [f64],
-    out: &mut [f64],
-) {
-    eval_block_impl::<true>(prog, width, vals, acc, out);
-}
-
+/// The body of [`eval_block`], one `#[inline(always)]` level below the
+/// `#[target_feature]` entry. The level is load-bearing: folding it into
+/// `eval_block` changes what rustc's depth-limited MIR inliner hands to
+/// LLVM and, with that, the register allocation of the tile loops
+/// (`objdump` on the benchmark binary; this form is instruction for
+/// instruction what every recorded baseline ran).
 #[inline(always)]
-unsafe fn eval_block_impl<const FMA: bool>(
+unsafe fn eval_block_impl(
     prog: &EvalProgram<f64>,
     width: usize,
     vals: &mut [f64],
@@ -72,11 +59,11 @@ unsafe fn eval_block_impl<const FMA: bool>(
     // alias the one vector being written.
     let vp = vals.as_mut_ptr();
     for s in 0..prog.num_slots() {
-        eval_row::<FMA>(prog, np + s, width, vp, acc);
+        eval_row(prog, np + s, width, vp, acc);
         std::ptr::copy_nonoverlapping(acc.as_ptr(), vp.add((nl + s) * width), width);
     }
     for p in 0..np {
-        eval_row::<FMA>(prog, p, width, vp, acc);
+        eval_row(prog, p, width, vp, acc);
         for (lane, &a) in acc.iter().enumerate() {
             out[lane * np + p] = a;
         }
@@ -94,7 +81,7 @@ unsafe fn eval_block_impl<const FMA: bool>(
 /// after CSE: one coefficient×slot multiply per term), where the
 /// accumulator traffic used to cost more than the term itself.
 #[inline(always)]
-unsafe fn eval_row<const FMA: bool>(
+unsafe fn eval_row(
     prog: &EvalProgram<f64>,
     row: usize,
     width: usize,
@@ -118,7 +105,7 @@ unsafe fn eval_row<const FMA: bool>(
             .iter()
             .all(|&e| e == 1);
     if linear {
-        return eval_row_linear::<FMA>(prog, terms, width, vp, acc);
+        return eval_row_linear(prog, terms, width, vp, acc);
     }
     let mut lane = 0;
     while lane + TILE <= width {
@@ -130,14 +117,11 @@ unsafe fn eval_row<const FMA: bool>(
             let c = prog.coeffs[t];
             let f0 = prog.term_offsets[t] as usize;
             let f1 = prog.term_offsets[t + 1] as usize;
-            // Constant terms have no factor to fuse into the accumulate.
-            let fused = FMA && f1 > f0;
-            let f_mul_end = if fused { f1 - 1 } else { f1 };
             let mut t0 = _mm256_set1_pd(c);
             let mut t1 = t0;
             let mut t2 = t0;
             let mut t3 = t0;
-            for f in f0..f_mul_end {
+            for f in f0..f1 {
                 let base = prog.var_ids[f] as usize * width + lane;
                 let (x0, x1, x2, x3) = load_tile(vp.add(base), prog.exps[f]);
                 t0 = _mm256_mul_pd(t0, x0);
@@ -145,19 +129,10 @@ unsafe fn eval_row<const FMA: bool>(
                 t2 = _mm256_mul_pd(t2, x2);
                 t3 = _mm256_mul_pd(t3, x3);
             }
-            if fused {
-                let base = prog.var_ids[f1 - 1] as usize * width + lane;
-                let (x0, x1, x2, x3) = load_tile(vp.add(base), prog.exps[f1 - 1]);
-                a0 = _mm256_fmadd_pd(t0, x0, a0);
-                a1 = _mm256_fmadd_pd(t1, x1, a1);
-                a2 = _mm256_fmadd_pd(t2, x2, a2);
-                a3 = _mm256_fmadd_pd(t3, x3, a3);
-            } else {
-                a0 = _mm256_add_pd(a0, t0);
-                a1 = _mm256_add_pd(a1, t1);
-                a2 = _mm256_add_pd(a2, t2);
-                a3 = _mm256_add_pd(a3, t3);
-            }
+            a0 = _mm256_add_pd(a0, t0);
+            a1 = _mm256_add_pd(a1, t1);
+            a2 = _mm256_add_pd(a2, t2);
+            a3 = _mm256_add_pd(a3, t3);
         }
         let ap = acc.as_mut_ptr().add(lane);
         _mm256_storeu_pd(ap, a0);
@@ -176,28 +151,18 @@ unsafe fn eval_row<const FMA: bool>(
             let c = prog.coeffs[t];
             let f0 = prog.term_offsets[t] as usize;
             let f1 = prog.term_offsets[t + 1] as usize;
-            let fused = FMA && f1 > f0;
-            let f_mul_end = if fused { f1 - 1 } else { f1 };
             let mut tv = _mm256_set1_pd(c);
-            for f in f0..f_mul_end {
+            for f in f0..f1 {
                 let base = prog.var_ids[f] as usize * width + lane;
                 let x = load4(vp.add(base), prog.exps[f]);
                 tv = _mm256_mul_pd(tv, x);
             }
-            if fused {
-                let base = prog.var_ids[f1 - 1] as usize * width + lane;
-                let x = load4(vp.add(base), prog.exps[f1 - 1]);
-                a = _mm256_fmadd_pd(tv, x, a);
-            } else {
-                a = _mm256_add_pd(a, tv);
-            }
+            a = _mm256_add_pd(a, tv);
         }
         _mm256_storeu_pd(acc.as_mut_ptr().add(lane), a);
         lane += 4;
     }
-    // Last <4 lanes: the identical per-lane chain in scalar form
-    // (`mul_add` is a fused op exactly like `_mm256_fmadd_pd`,
-    // so the FMA variant stays deterministic across blockings).
+    // Last <4 lanes: the identical per-lane chain in scalar form.
     for (off, slot) in acc[lane..width].iter_mut().enumerate() {
         let l = lane + off;
         let mut a = 0.0f64;
@@ -205,22 +170,13 @@ unsafe fn eval_row<const FMA: bool>(
             let c = prog.coeffs[t];
             let f0 = prog.term_offsets[t] as usize;
             let f1 = prog.term_offsets[t + 1] as usize;
-            let fused = FMA && f1 > f0;
-            let f_mul_end = if fused { f1 - 1 } else { f1 };
             let mut tv = c;
-            for f in f0..f_mul_end {
+            for f in f0..f1 {
                 let x = *vp.add(prog.var_ids[f] as usize * width + l);
                 let e = prog.exps[f];
                 tv *= if e == 1 { x } else { pow_f64(x, e) };
             }
-            if fused {
-                let x = *vp.add(prog.var_ids[f1 - 1] as usize * width + l);
-                let e = prog.exps[f1 - 1];
-                let xl = if e == 1 { x } else { pow_f64(x, e) };
-                a = tv.mul_add(xl, a);
-            } else {
-                a += tv;
-            }
+            a += tv;
         }
         *slot = a;
     }
@@ -231,11 +187,10 @@ unsafe fn eval_row<const FMA: bool>(
 /// `term_offsets[terms.start] + (t - terms.start)`, so the loop streams
 /// `coeffs` and `var_ids` in lockstep with no per-term offset reads, no
 /// factor-loop control and no exponent dispatch. Per lane the operation
-/// chain is exactly the generic one — `term = c; term *= x; acc += term`,
-/// or the fused `acc = fma(c·x + acc)` in the FMA variant — so both
-/// variants stay bit-identical to their generic selves.
+/// chain is exactly the generic one — `term = c; term *= x; acc += term` —
+/// so it stays bit-identical to the generic loop.
 #[inline(always)]
-unsafe fn eval_row_linear<const FMA: bool>(
+unsafe fn eval_row_linear(
     prog: &EvalProgram<f64>,
     terms: std::ops::Range<usize>,
     width: usize,
@@ -258,17 +213,10 @@ unsafe fn eval_row_linear<const FMA: bool>(
             let x2 = _mm256_loadu_pd(p.add(8));
             let x3 = _mm256_loadu_pd(p.add(12));
             let cv = _mm256_set1_pd(c);
-            if FMA {
-                a0 = _mm256_fmadd_pd(cv, x0, a0);
-                a1 = _mm256_fmadd_pd(cv, x1, a1);
-                a2 = _mm256_fmadd_pd(cv, x2, a2);
-                a3 = _mm256_fmadd_pd(cv, x3, a3);
-            } else {
-                a0 = _mm256_add_pd(a0, _mm256_mul_pd(cv, x0));
-                a1 = _mm256_add_pd(a1, _mm256_mul_pd(cv, x1));
-                a2 = _mm256_add_pd(a2, _mm256_mul_pd(cv, x2));
-                a3 = _mm256_add_pd(a3, _mm256_mul_pd(cv, x3));
-            }
+            a0 = _mm256_add_pd(a0, _mm256_mul_pd(cv, x0));
+            a1 = _mm256_add_pd(a1, _mm256_mul_pd(cv, x1));
+            a2 = _mm256_add_pd(a2, _mm256_mul_pd(cv, x2));
+            a3 = _mm256_add_pd(a3, _mm256_mul_pd(cv, x3));
         }
         let ap = acc.as_mut_ptr().add(lane);
         _mm256_storeu_pd(ap, a0);
@@ -282,11 +230,7 @@ unsafe fn eval_row_linear<const FMA: bool>(
         for (&c, &v) in coeffs.iter().zip(vars) {
             let x = _mm256_loadu_pd(vp.add(v as usize * width + lane));
             let cv = _mm256_set1_pd(c);
-            a = if FMA {
-                _mm256_fmadd_pd(cv, x, a)
-            } else {
-                _mm256_add_pd(a, _mm256_mul_pd(cv, x))
-            };
+            a = _mm256_add_pd(a, _mm256_mul_pd(cv, x));
         }
         _mm256_storeu_pd(acc.as_mut_ptr().add(lane), a);
         lane += 4;
@@ -296,11 +240,7 @@ unsafe fn eval_row_linear<const FMA: bool>(
         let mut a = 0.0f64;
         for (&c, &v) in coeffs.iter().zip(vars) {
             let x = *vp.add(v as usize * width + l);
-            if FMA {
-                a = c.mul_add(x, a);
-            } else {
-                a += c * x;
-            }
+            a += c * x;
         }
         *slot = a;
     }

@@ -1,20 +1,17 @@
 //! Explicit batch kernels behind runtime dispatch.
 //!
 //! The lane-blocked `f64` evaluation loop of [`crate::compile`] exists in
-//! three explicit flavours, selected per entry point by
+//! two explicit flavours, selected per entry point by
 //! [`cobra_util::kernel`] (`COBRA_KERNEL`, runtime
-//! `is_x86_feature_detected!`):
+//! `is_x86_feature_detected!`), and the exact path has a fixed-point twin:
 //!
 //! * `scalar` — the portable kernel (LLVM auto-vectorizes its lane
 //!   loops); the reference every other kernel is diffed against.
-//! * `avx2` — explicit 4-wide AVX2 kernels that keep each term's
+//! * `avx2` — an explicit 4-wide AVX2 kernel that keeps each term's
 //!   running product in registers across a 16-lane tile instead of
-//!   round-tripping a term buffer through L1. The mul+add variant
-//!   performs the **identical per-lane multiply/add sequence** as the
-//!   scalar kernel, so its results are bit-identical; the FMA variant
-//!   fuses the last factor into the accumulate (one rounding fewer per
-//!   term) and is therefore *not* bit-identical — only certified by the
-//!   Higham shadow bound.
+//!   round-tripping a term buffer through L1. It performs the
+//!   **identical per-lane multiply/add sequence** as the scalar kernel,
+//!   so its results are bit-identical.
 //! * [`FixedProgram`] — a scaled-`i128` fixed-point twin of the exact
 //!   `Rat` path: one common coefficient scale per program, one common
 //!   denominator per scenario, pure integer inner loops, and a
@@ -58,9 +55,9 @@ impl LaneScratch {
 
 /// Evaluates one lane block (`rows.len()` scenarios) of `prog` into
 /// `out` with the resolved kernel `kern`, reusing `scratch`. Per
-/// scenario the mul+add kernels perform the identical multiply/add
-/// sequence, so results do not depend on how scenarios were grouped
-/// into blocks — nor, for `Scalar`/`Avx2`, on which kernel ran.
+/// scenario both kernels perform the identical multiply/add sequence,
+/// so results depend neither on how scenarios were grouped into blocks
+/// nor on which kernel ran.
 pub(crate) fn eval_lane_block(
     kern: F64Kernel,
     prog: &EvalProgram<f64>,
@@ -95,18 +92,14 @@ pub(crate) fn eval_lane_block(
     }
     match kern {
         F64Kernel::Scalar => scalar::eval_block(prog, width, vals, term, acc, out),
-        // SAFETY: dispatch only resolves to an AVX2 kernel after
+        // SAFETY: dispatch only resolves to the AVX2 kernel after
         // `is_x86_feature_detected!` confirmed the CPU supports it
         // (`cobra_util::kernel::KernelTarget::resolve`).
         #[cfg(target_arch = "x86_64")]
         F64Kernel::Avx2 => unsafe { avx2::eval_block(prog, width, vals, acc, out) },
-        #[cfg(target_arch = "x86_64")]
-        F64Kernel::Avx2Fma => unsafe { avx2::eval_block_fma(prog, width, vals, acc, out) },
-        // Non-x86-64 builds can never resolve to an AVX2 kernel
-        // (detection returns false), but the arms must still compile.
+        // Non-x86-64 builds can never resolve to the AVX2 kernel
+        // (detection returns false), but the arm must still compile.
         #[cfg(not(target_arch = "x86_64"))]
-        F64Kernel::Avx2 | F64Kernel::Avx2Fma => {
-            scalar::eval_block(prog, width, vals, term, acc, out)
-        }
+        F64Kernel::Avx2 => scalar::eval_block(prog, width, vals, term, acc, out),
     }
 }

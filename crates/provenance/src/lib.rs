@@ -28,8 +28,8 @@
 //!   kernel evaluates natively — the op-reduction axis orthogonal to
 //!   cut-based abstraction.
 //! * [`kernel`] — the explicit batch kernels behind that engine: the
-//!   portable auto-vectorized lane kernel, runtime-detected AVX2/FMA
-//!   variants, and a scaled-`i128` fixed-point kernel for the exact path,
+//!   portable auto-vectorized lane kernel, its runtime-detected AVX2
+//!   twin, and a scaled-`i128` fixed-point kernel for the exact path,
 //!   selected per call by [`cobra_util::kernel`] (`COBRA_KERNEL`).
 //! * [`polyset`] — named collections of polynomials: the provenance-aware
 //!   query result (one polynomial per result tuple), with size statistics.

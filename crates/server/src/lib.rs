@@ -80,9 +80,9 @@ pub struct ServerConfig {
     /// Store directory enabling the disk tier (persist / re-load).
     pub store_dir: Option<PathBuf>,
     /// Batch-kernel target every session worker runs under
-    /// ([`cobra_util::kernel`]): `Auto` resolves per CPU at runtime,
-    /// `Scalar`/`Avx2`/`Avx2Fma` force a kernel (unsupported targets
-    /// fall back to scalar). Reported by `stats` replies.
+    /// ([`cobra_util::kernel`]): `Auto` resolves per CPU at runtime
+    /// (AVX2 when available, else scalar), `Scalar` forces the portable
+    /// kernels. Reported by `stats` replies.
     pub kernel: KernelTarget,
     /// Cap on live in-memory sessions (`None` = unbounded). Past the
     /// cap the least-recently-used session is retired: persisted into

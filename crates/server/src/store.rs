@@ -194,16 +194,11 @@ impl SessionStore {
     /// (`COBRA_KERNEL`, or a scoped
     /// [`cobra_util::kernel::with_target`]).
     pub fn new(dir: Option<PathBuf>) -> SessionStore {
-        SessionStore::with_kernel(dir, kernel::target())
+        SessionStore::with_limits(dir, kernel::target(), None)
     }
 
     /// [`new`](Self::new) with an explicit batch-kernel target for every
-    /// session worker this store spawns.
-    pub fn with_kernel(dir: Option<PathBuf>, target: KernelTarget) -> SessionStore {
-        SessionStore::with_limits(dir, target, None)
-    }
-
-    /// [`with_kernel`](Self::with_kernel) plus a cap on live sessions.
+    /// session worker this store spawns, plus a cap on live sessions.
     ///
     /// With `max_sessions: Some(n)`, admitting session `n + 1` first
     /// retires the least-recently-used live session: its worker
@@ -300,20 +295,6 @@ impl SessionStore {
             ("persisted".into(), Json::Bool(persist)),
             ("dag".into(), Json::Bool(dag_armed)),
         ])
-    }
-
-    /// Adopts an already-built session into the in-memory tier under
-    /// `id` — for embedding callers that construct sessions from
-    /// in-memory polynomials instead of protocol text. Replaces any
-    /// live worker for the id.
-    pub fn adopt(&self, id: &str, session: CobraSession) -> Result<(), (String, String)> {
-        if !valid_id(id) {
-            return Err((
-                "bad_request".into(),
-                "session ids are 1-64 chars of [A-Za-z0-9_-]".into(),
-            ));
-        }
-        self.insert_worker(id, session)
     }
 
     fn load_from_disk(&self, id: &str) -> Result<CobraSession, (String, String)> {

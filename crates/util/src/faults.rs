@@ -102,6 +102,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Holds the scope lock without arming a plan. The plan and its counters
+/// are process-global, so a unit test of this crate that reaches [`point`]
+/// *outside* a scope takes this guard first: otherwise a sibling test's
+/// armed scope injects its panic here, or this test's calls consume the
+/// span index the sibling was waiting for.
+#[cfg(test)]
+pub(crate) fn exclude_scopes() -> MutexGuard<'static, ()> {
+    lock(&SCOPE_LOCK)
+}
+
 /// True when `COBRA_FAULTS` is set to something other than `0`/empty —
 /// the standing CI perturbation mode. Read once per process.
 pub fn env_armed() -> bool {
@@ -219,6 +229,7 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_noops() {
+        let _disarmed = exclude_scopes();
         // must not panic or sleep noticeably
         for _ in 0..10_000 {
             point(Site::Block);
@@ -239,6 +250,7 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains(INJECTED_PANIC), "{msg}");
         // disarmed again: the same point is now a no-op
+        let _disarmed = exclude_scopes();
         point(Site::SpanStart);
     }
 

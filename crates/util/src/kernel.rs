@@ -1,27 +1,23 @@
 //! Batch-kernel dispatch: CPU-feature detection and the `COBRA_KERNEL`
 //! override shared by every evaluation engine.
 //!
-//! The compiled `f64` batch kernel exists in three explicit flavours —
-//! portable scalar (the auto-vectorized lane loops), AVX2, and AVX2+FMA —
-//! and the exact path has a scaled-`i128` fixed-point twin. Which flavour
-//! runs is decided **once per public entry point, on the calling thread**,
-//! by [`current`]:
+//! The compiled `f64` batch kernel exists in two explicit flavours —
+//! portable scalar (the auto-vectorized lane loops) and AVX2 — and the
+//! exact path has a scaled-`i128` fixed-point twin. Which flavour runs is
+//! decided **once per public entry point, on the calling thread**, by
+//! [`current`]:
 //!
 //! 1. a [`with_target`] scope installed on the calling thread (race-free
 //!    under concurrent tests, exactly like
 //!    [`par::with_threads`](crate::par::with_threads)), then
-//! 2. the `COBRA_KERNEL` environment variable
-//!    (`auto` | `scalar` | `avx2` | `avx2fma`), then
+//! 2. the `COBRA_KERNEL` environment variable (`auto` | `scalar`), then
 //! 3. [`KernelTarget::Auto`].
 //!
-//! A requested target the CPU cannot run **silently falls back to
-//! scalar**, so forcing `COBRA_KERNEL=avx2` in CI is safe on any runner;
-//! tests that want to *assert* AVX2 ran guard on [`avx2_available`].
-//!
-//! `Auto` never resolves to [`F64Kernel::Avx2Fma`]: fusing the last
-//! multiply into the accumulate changes rounding, so the FMA kernel is
-//! opt-in only. The scalar and AVX2 kernels perform the identical
-//! per-lane multiply/add sequence and are bit-identical by construction.
+//! `Auto` on a CPU without AVX2 **silently resolves to scalar**, so the
+//! same suite runs on any runner; tests that want to *assert* AVX2 ran
+//! guard on [`avx2_available`]. The scalar and AVX2 kernels perform the
+//! identical per-lane multiply/add sequence and are bit-identical by
+//! construction — there is no kernel with a different rounding.
 //!
 //! ```
 //! use cobra_util::kernel::{self, KernelTarget};
@@ -39,20 +35,13 @@ use std::str::FromStr;
 /// happens in [`KernelTarget::resolve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelTarget {
-    /// Pick the fastest *bit-identical* kernel the CPU supports (AVX2
-    /// when available, else scalar). Never selects FMA.
+    /// Pick the fastest kernel the CPU supports (AVX2 when available,
+    /// else scalar).
     #[default]
     Auto,
     /// Force the portable scalar kernel and the plain `Rat` exact path
     /// (disables the scaled-`i128` fixed-point kernel too).
     Scalar,
-    /// Force the AVX2 mul+add kernel (bit-identical to scalar); falls
-    /// back to scalar if the CPU lacks AVX2.
-    Avx2,
-    /// Force the AVX2+FMA kernel (fused accumulate — *not* bit-identical
-    /// to scalar, but within the Higham shadow bound); falls back to
-    /// scalar if the CPU lacks AVX2 or FMA.
-    Avx2Fma,
 }
 
 impl KernelTarget {
@@ -62,26 +51,17 @@ impl KernelTarget {
         match self {
             KernelTarget::Auto => "auto",
             KernelTarget::Scalar => "scalar",
-            KernelTarget::Avx2 => "avx2",
-            KernelTarget::Avx2Fma => "avx2fma",
         }
     }
 
-    /// Resolves this request against the running CPU: unsupported
-    /// targets silently degrade to [`F64Kernel::Scalar`].
+    /// Resolves this request against the running CPU: `Auto` without
+    /// AVX2 silently degrades to [`F64Kernel::Scalar`].
     pub fn resolve(self) -> F64Kernel {
         match self {
             KernelTarget::Scalar => F64Kernel::Scalar,
-            KernelTarget::Auto | KernelTarget::Avx2 => {
+            KernelTarget::Auto => {
                 if avx2_available() {
                     F64Kernel::Avx2
-                } else {
-                    F64Kernel::Scalar
-                }
-            }
-            KernelTarget::Avx2Fma => {
-                if avx2_available() && fma_available() {
-                    F64Kernel::Avx2Fma
                 } else {
                     F64Kernel::Scalar
                 }
@@ -111,8 +91,6 @@ impl FromStr for KernelTarget {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(KernelTarget::Auto),
             "scalar" => Ok(KernelTarget::Scalar),
-            "avx2" => Ok(KernelTarget::Avx2),
-            "avx2fma" | "avx2+fma" | "fma" => Ok(KernelTarget::Avx2Fma),
             _ => Err(UnknownKernelTarget(s.to_owned())),
         }
     }
@@ -126,7 +104,7 @@ impl std::fmt::Display for UnknownKernelTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown kernel target {:?} (expected auto|scalar|avx2|avx2fma)",
+            "unknown kernel target {:?} (expected auto|scalar)",
             self.0
         )
     }
@@ -142,8 +120,6 @@ pub enum F64Kernel {
     Scalar,
     /// Explicit AVX2 mul+add — bit-identical to `Scalar`.
     Avx2,
-    /// Explicit AVX2 with the final multiply fused into the accumulate.
-    Avx2Fma,
 }
 
 impl F64Kernel {
@@ -152,7 +128,6 @@ impl F64Kernel {
         match self {
             F64Kernel::Scalar => "scalar",
             F64Kernel::Avx2 => "avx2",
-            F64Kernel::Avx2Fma => "avx2fma",
         }
     }
 }
@@ -175,7 +150,8 @@ pub fn avx2_available() -> bool {
     false
 }
 
-/// Does the running CPU support FMA?
+/// Does the running CPU support FMA? A bare CPU probe for environment
+/// records — no kernel uses fused multiply-add.
 #[cfg(target_arch = "x86_64")]
 pub fn fma_available() -> bool {
     std::arch::is_x86_feature_detected!("fma")
@@ -271,16 +247,19 @@ mod tests {
 
     #[test]
     fn parse_round_trips_and_rejects() {
-        for t in [
-            KernelTarget::Auto,
-            KernelTarget::Scalar,
-            KernelTarget::Avx2,
-            KernelTarget::Avx2Fma,
-        ] {
+        for t in [KernelTarget::Auto, KernelTarget::Scalar] {
             assert_eq!(t.as_str().parse::<KernelTarget>().unwrap(), t);
         }
-        assert_eq!("AVX2".parse::<KernelTarget>().unwrap(), KernelTarget::Avx2);
-        assert!("neon".parse::<KernelTarget>().is_err());
+        assert_eq!(
+            " Scalar ".parse::<KernelTarget>().unwrap(),
+            KernelTarget::Scalar
+        );
+        // The retired forced-AVX2 and FMA spellings are rejected, not
+        // remapped (case is folded before matching).
+        for gone in ["avx2", "AVX2FMA", "avx2+fma", "fma", "neon"] {
+            let err = gone.parse::<KernelTarget>().unwrap_err();
+            assert!(err.to_string().contains("auto|scalar"), "{err}");
+        }
     }
 
     #[test]
@@ -296,16 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_targets_fall_back_to_scalar() {
-        // Forcing AVX2 on a non-AVX2 machine must degrade silently.
-        if !avx2_available() {
-            assert_eq!(KernelTarget::Avx2.resolve(), F64Kernel::Scalar);
-        }
-        if !(avx2_available() && fma_available()) {
-            assert_eq!(KernelTarget::Avx2Fma.resolve(), F64Kernel::Scalar);
-        }
-        // Auto never picks the rounding-changing FMA kernel.
-        assert_ne!(KernelTarget::Auto.resolve(), F64Kernel::Avx2Fma);
+    fn auto_resolves_to_avx2_iff_the_cpu_has_it() {
+        let expect = if avx2_available() {
+            F64Kernel::Avx2
+        } else {
+            F64Kernel::Scalar
+        };
+        assert_eq!(KernelTarget::Auto.resolve(), expect);
+        assert_eq!(KernelTarget::Scalar.resolve(), F64Kernel::Scalar);
     }
 
     #[test]

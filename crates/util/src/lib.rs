@@ -21,7 +21,7 @@
 //! * [`faults`] — the fault-injection test hooks (`COBRA_FAULTS`,
 //!   [`faults::with_faults`]) that keep the robustness promises exercised;
 //!   compiled to near-no-ops when disarmed.
-//! * [`kernel`] — batch-kernel dispatch: runtime AVX2/FMA feature
+//! * [`kernel`] — batch-kernel dispatch: runtime AVX2 feature
 //!   detection, the `COBRA_KERNEL` override ([`kernel::with_target`]),
 //!   and the shared [`kernel::pow_f64`] exponentiation chain that keeps
 //!   every `f64` evaluation path bit-identical.

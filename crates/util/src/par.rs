@@ -300,6 +300,11 @@ where
 mod tests {
     use super::*;
 
+    // The span engines call `faults::point`, whose plan is process-global:
+    // every test below that runs one holds `faults::exclude_scopes()` so the
+    // fault-injection tests of this crate cannot fire inside it (nor lose
+    // a span index to it).
+
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..1000).collect();
@@ -337,6 +342,7 @@ mod tests {
 
     #[test]
     fn owned_spans_cover_all_indices_in_order() {
+        let _disarmed = faults::exclude_scopes();
         for threads in [1usize, 2, 5] {
             for (n, align) in [(0usize, 4usize), (3, 4), (64, 4), (103, 8), (7, 100)] {
                 let spans = with_threads(threads, || {
@@ -361,6 +367,7 @@ mod tests {
 
     #[test]
     fn map_reduce_is_thread_count_independent() {
+        let _disarmed = faults::exclude_scopes();
         // argmax with a left-biased tie-break: only deterministic if the
         // partials merge in ascending span order
         let score = |i: usize| (i * 7919) % 1000;
@@ -389,6 +396,7 @@ mod tests {
 
     #[test]
     fn try_spans_catch_worker_panics() {
+        let _disarmed = faults::exclude_scopes();
         for threads in [1usize, 2, 4] {
             let abort = CancelToken::new();
             let result = with_threads(threads, || {
@@ -413,6 +421,7 @@ mod tests {
 
     #[test]
     fn try_spans_pretripped_token_skips_work() {
+        let _disarmed = faults::exclude_scopes();
         let abort = CancelToken::new();
         abort.cancel();
         let spans = with_threads(3, || {
@@ -430,6 +439,7 @@ mod tests {
 
     #[test]
     fn try_spans_match_plain_spans_when_nothing_fails() {
+        let _disarmed = faults::exclude_scopes();
         for threads in [1usize, 2, 5] {
             let abort = CancelToken::new();
             let sums = with_threads(threads, || {
@@ -449,6 +459,7 @@ mod tests {
 
     #[test]
     fn plain_spans_resume_worker_panics() {
+        let _disarmed = faults::exclude_scopes();
         let result = std::panic::catch_unwind(|| {
             with_threads(2, || {
                 par_owned_spans(

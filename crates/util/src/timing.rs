@@ -42,8 +42,8 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// measured runs together with the last result.
 ///
 /// Minimum (not mean) is the conventional low-noise estimator for CPU-bound
-/// microbenchmarks; criterion is used for the statistically rigorous version
-/// in `cobra-bench`.
+/// microbenchmarks; the repository's benchmark (`BENCHMARK.json`) takes the
+/// statistically rigorous numbers from repeated fresh-process runs.
 pub fn time_best_of<T>(warmup: usize, runs: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     assert!(runs > 0, "need at least one measured run");
     for _ in 0..warmup {

@@ -8,7 +8,8 @@
 //! trade-off curve once (`compress_frontier`), and each bound is an
 //! `O(log frontier)` re-selection (`select_bound`) that reuses the cached
 //! full-side engines and rebuilds only the compressed side — identical
-//! results, a fraction of the cost (experiment E12 measures the gap).
+//! results, a fraction of the cost (the benchmark's `select_bound_p50_ms`
+//! against `core.plan.frontier_ms`).
 //!
 //! ```text
 //! cargo run --release --example frontier

@@ -27,7 +27,8 @@ fn main() {
     );
 
     // Generate provenance via the verified direct path (the engine path
-    // materializes customers × months call rows; see DESIGN.md).
+    // materializes customers × months call rows; equality of the two at
+    // small scale is asserted in `cobra_datagen::telephony`'s tests).
     let sw = Stopwatch::start();
     let mut reg = VarRegistry::new();
     let (polys, _, _) = Telephony::direct_polyset(config, &mut reg);

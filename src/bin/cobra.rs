@@ -19,8 +19,8 @@
 //!             [--max-sessions N]
 //!     Run the COBRA sweep server (length-prefixed JSON frames over
 //!     TCP). `--store` enables the persistent session tier;
-//!     `--kernel` pins the batch kernel (auto | scalar | avx2 |
-//!     avx2fma) for every session worker; `--max-sessions` caps the
+//!     `--kernel` pins the batch kernel (auto | scalar) for every
+//!     session worker; `--max-sessions` caps the
 //!     live in-memory tier, evicting least-recently-used sessions to
 //!     the store directory.
 //! ```
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("cobra: {message}");
-            eprintln!("usage: cobra demo | cobra compress --polys FILE --tree TREE --bound N [--scenario v=1.1,...] [--trace] [--sensitivity] [--dag] | cobra serve [--addr HOST:PORT] [--store DIR] [--kernel auto|scalar|avx2|avx2fma] [--max-sessions N]");
+            eprintln!("usage: cobra demo | cobra compress --polys FILE --tree TREE --bound N [--scenario v=1.1,...] [--trace] [--sensitivity] [--dag] | cobra serve [--addr HOST:PORT] [--store DIR] [--kernel auto|scalar] [--max-sessions N]");
             ExitCode::FAILURE
         }
     }
@@ -312,9 +312,12 @@ mod tests {
         assert_eq!(parse_serve_args(&[]).unwrap().kernel, KernelTarget::Auto);
         let config = parse_serve_args(&s(&["--kernel", "scalar"])).unwrap();
         assert_eq!(config.kernel, KernelTarget::Scalar);
-        let config = parse_serve_args(&s(&["--kernel", "avx2+fma"])).unwrap();
-        assert_eq!(config.kernel, KernelTarget::Avx2Fma);
-        assert!(parse_serve_args(&s(&["--kernel", "sse9"])).is_err());
+        // Retired targets are a usage error naming the accepted values,
+        // never silently remapped.
+        for gone in ["AVX2FMA", "avx2", "sse9"] {
+            let err = parse_serve_args(&s(&["--kernel", gone])).unwrap_err();
+            assert!(err.contains("auto|scalar"), "{err}");
+        }
 
         assert_eq!(parse_serve_args(&[]).unwrap().max_sessions, None);
         let config = parse_serve_args(&s(&["--max-sessions", "8"])).unwrap();

@@ -1,16 +1,15 @@
 //! Cross-kernel differential suite (ISSUE 8): the explicit batch kernels
-//! — portable scalar, AVX2, AVX2+FMA and the scaled-`i128` fixed-point
-//! exact kernel — are pinned against each other and against the generic
+//! — portable scalar, AVX2 and the scaled-`i128` fixed-point exact
+//! kernel — are pinned against each other and against the generic
 //! term-walk reference on random programs × random scenario grids.
 //!
 //! The contracts under test:
 //!
-//! * `scalar` ≡ `avx2` ≡ `auto` **bit-identical** for every `f64` batch
-//!   surface, at 1 and 4 worker threads (`par::with_threads` ×
-//!   `kernel::with_target`, both scoped to this test's thread so
-//!   concurrently running tests cannot race on the env variables);
-//! * `avx2fma` (fused accumulate, different rounding) stays within the
-//!   Higham-style error budget of the scalar kernel;
+//! * `scalar` ≡ `auto` (AVX2 wherever the CPU has it) **bit-identical**
+//!   for every `f64` batch surface, at 1 and 4 worker threads
+//!   (`par::with_threads` × `kernel::with_target`, both scoped to this
+//!   test's thread so concurrently running tests cannot race on the env
+//!   variables);
 //! * the scaled-`i128` exact kernel is **representation-identical** to
 //!   the plain `Rat` walk wherever it completes, and its per-scenario
 //!   overflow fallback is unobservable through the public batch API —
@@ -31,10 +30,8 @@ use proptest::prelude::*;
 /// serial path and a genuine multi-worker fan-out.
 const THREAD_MATRIX: [usize; 2] = [1, 4];
 
-/// Every dispatch target that must stay bit-identical on the `f64` path
-/// (FMA is excluded by design: fusing changes rounding).
-const IDENTICAL_TARGETS: [KernelTarget; 3] =
-    [KernelTarget::Auto, KernelTarget::Scalar, KernelTarget::Avx2];
+/// Every dispatch target; all must stay bit-identical on the `f64` path.
+const IDENTICAL_TARGETS: [KernelTarget; 2] = [KernelTarget::Auto, KernelTarget::Scalar];
 
 const PAPER_POLYS: &str = "\
 P1 = 208.8*p1*m1 + 240*p1*m3 + 127.4*f1*m1 + 114.45*f1*m3 \
@@ -167,8 +164,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every dispatch target on the `f64` batch surface produces bits
-    /// identical to the generic term-walk reference, per thread count —
-    /// and the FMA kernel stays within a Higham-style budget of it.
+    /// identical to the generic term-walk reference, per thread count.
     #[test]
     fn f64_kernels_match_reference_on_random_programs(
         src in polyset_strategy(),
@@ -210,30 +206,6 @@ proptest! {
                         t, threads, slot, got, want
                     );
                 }
-            }
-        }
-
-        // FMA reassociates the last multiply into the accumulate, so it
-        // may differ — but only within the a-priori rounding budget of
-        // the term-magnitude shadow (Σ|c|Π|x|^e), by a wide margin.
-        let abs_prog = prog.to_abs_program();
-        let mut shadow = vec![0.0f64; n * np];
-        let abs_rows: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|row| row.iter().map(|x| x.abs()).collect())
-            .collect();
-        for (k, row) in abs_rows.iter().enumerate() {
-            abs_prog.eval_scenario_into(row, &mut shadow[k * np..(k + 1) * np]);
-        }
-        for threads in THREAD_MATRIX {
-            let fused = run(KernelTarget::Avx2Fma, threads);
-            for (slot, (&got, &want)) in fused.iter().zip(&reference).enumerate() {
-                let budget = 1e-12 * shadow[slot].max(1.0);
-                prop_assert!(
-                    (got - want).abs() <= budget,
-                    "fma threads {} slot {}: {} vs {} (budget {})",
-                    threads, slot, got, want, budget
-                );
             }
         }
     }
@@ -383,8 +355,7 @@ proptest! {
 
     /// The real sweep engines, end to end: exact folds are bit-identical
     /// with the fixed kernel on and off; `f64` folds are bit-identical
-    /// across scalar/AVX2/auto; the FMA run stays within the *sound*
-    /// Higham certificate of `sweep_fold_f64_bounded`.
+    /// across scalar/auto.
     #[test]
     fn session_sweeps_agree_across_kernel_targets(
         m3_levels in levels_strategy(),
@@ -424,7 +395,7 @@ proptest! {
             }
         }
 
-        // f64 engines: bit-identical across the non-FMA targets.
+        // f64 engines: bit-identical across the targets.
         let f64_ref = kernel::with_target(KernelTarget::Scalar, || {
             s.sweep_fold_f64(&grid, Collect::<f64>::new(), folds::step).unwrap()
         })
@@ -442,43 +413,6 @@ proptest! {
                     })
                 });
                 prop_assert_eq!(&par.finish(), &f64_ref, "par target {} threads {}", t, threads);
-            }
-        }
-
-        // FMA through the bounded engine: each side of the comparison is
-        // within its own sound rounding certificate of the true value at
-        // the bound rows, so the two runs differ by at most the sum of
-        // the two certificates.
-        let (fma_out, fma_bound) = kernel::with_target(KernelTarget::Avx2Fma, || {
-            s.sweep_fold_f64_bounded(
-                &grid,
-                SweepBudget::unlimited(),
-                Collect::<f64>::new(),
-                folds::step,
-            )
-            .unwrap()
-        });
-        let (ref_out, ref_bound) = kernel::with_target(KernelTarget::Scalar, || {
-            s.sweep_fold_f64_bounded(
-                &grid,
-                SweepBudget::unlimited(),
-                Collect::<f64>::new(),
-                folds::step,
-            )
-            .unwrap()
-        });
-        let budget = fma_bound.max_abs_bound + ref_bound.max_abs_bound;
-        let fma_rows = fma_out.into_fold().finish();
-        let ref_rows = ref_out.into_fold().finish();
-        prop_assert_eq!(fma_rows.len(), ref_rows.len());
-        for ((i, f_full, f_comp), (j, r_full, r_comp)) in fma_rows.iter().zip(&ref_rows) {
-            prop_assert_eq!(i, j);
-            for (a, b) in f_full.iter().zip(r_full).chain(f_comp.iter().zip(r_comp)) {
-                prop_assert!(
-                    (a - b).abs() <= budget,
-                    "scenario {}: fma {} vs scalar {} exceeds certificate {}",
-                    i, a, b, budget
-                );
             }
         }
     }
@@ -550,16 +484,11 @@ fn session_info_reports_resolved_kernel() {
     // The container this suite gates in CI must actually exercise AVX2
     // somewhere; record the capability so a silent downgrade of the CI
     // runner fleet shows up as a test-log change, not silence.
-    println!(
-        "kernel capability: avx2={} fma={}",
-        kernel::avx2_available(),
-        kernel::fma_available()
-    );
+    println!("kernel capability: avx2={}", kernel::avx2_available());
 }
 
-/// Under an explicit AVX2 target the whole suite above ran fused and
-/// unfused variants; this pins the plumbing end to end on the `sweep`
-/// convenience surface too (`rat` keeps the grid exactly representable).
+/// Pins the dispatch plumbing end to end on the `sweep` convenience
+/// surface too (`rat` keeps the grid exactly representable).
 #[test]
 fn sweep_f64_matches_across_targets_end_to_end() {
     let mut s = compressed_session(6);

@@ -350,9 +350,10 @@ fn worker_panic_is_isolated_to_an_error_reply() {
 }
 
 /// Two servers pinned to different batch kernels (`--kernel scalar` vs
-/// `--kernel avx2`) must answer `sweep_fold_f64` — sequential *and*
-/// coalesced-concurrent — bit-identically: the AVX2 kernel performs the
-/// scalar kernel's exact multiply/add sequence, four lanes at a time.
+/// `--kernel auto`, AVX2 wherever the CPU has it) must answer
+/// `sweep_fold_f64` — sequential *and* coalesced-concurrent —
+/// bit-identically: the AVX2 kernel performs the scalar kernel's exact
+/// multiply/add sequence, four lanes at a time.
 /// `stats` reports which kernel each worker resolved.
 #[test]
 fn forced_kernel_servers_reply_bit_identically() {
@@ -411,11 +412,11 @@ fn forced_kernel_servers_reply_bit_identically() {
     let (scalar_sweep, scalar_conc, scalar_name) = kernel_of(KernelTarget::Scalar);
     assert_eq!(scalar_name, "scalar");
 
-    let (avx2_sweep, avx2_conc, avx2_name) = kernel_of(KernelTarget::Avx2);
+    let (avx2_sweep, avx2_conc, avx2_name) = kernel_of(KernelTarget::Auto);
     if kernel::avx2_available() {
         assert_eq!(avx2_name, "avx2");
     } else {
-        assert_eq!(avx2_name, "scalar"); // silent fallback on older CPUs
+        assert_eq!(avx2_name, "scalar"); // older CPUs resolve to scalar
     }
 
     assert_eq!(

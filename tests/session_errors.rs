@@ -25,7 +25,7 @@ fn missing_inputs_in_order() {
         Err(CoreError::Session(_))
     ));
     assert!(matches!(
-        s.measure_speedup(&Valuation::with_default(Rat::ONE), 0, 1),
+        s.measure_speedup(Valuation::with_default(Rat::ONE), 0, 1),
         Err(CoreError::Session(_))
     ));
 }
