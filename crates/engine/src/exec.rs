@@ -188,6 +188,11 @@ fn hash_join(left: Relation, right: Relation, on: &[(String, String)]) -> Result
     Relation::new(schema, rows)
 }
 
+/// One aggregate's state for one group. `Sum` and `Avg` own their running
+/// total and every row's value is added **into** it ([`Value::add`] takes
+/// both by value and updates a polynomial in place), so a symbolic `SUM`
+/// costs one short update per row and holds the distinct monomials, never
+/// the rows.
 enum Acc {
     Sum(Option<Value>),
     Count(u64),
@@ -212,7 +217,7 @@ impl Acc {
             Acc::Sum(acc) => {
                 *acc = Some(match acc.take() {
                     None => v,
-                    Some(prev) => prev.add(&v)?,
+                    Some(sum) => sum.add(v)?,
                 });
             }
             Acc::Count(n) => *n += 1,
@@ -237,7 +242,7 @@ impl Acc {
             Acc::Avg(acc, n) => {
                 *acc = Some(match acc.take() {
                     None => v,
-                    Some(prev) => prev.add(&v)?,
+                    Some(sum) => sum.add(v)?,
                 });
                 *n += 1;
             }
@@ -489,6 +494,38 @@ mod tests {
             other => panic!("expected poly, got {other:?}"),
         }
         assert_eq!(rel.rows()[1][1], Value::Num(rat("5")));
+    }
+
+    /// The running sum is updated in place, whatever arrives in whatever
+    /// order: scalars before and after the first polynomial, a monomial
+    /// seen again, and one that cancels.
+    #[test]
+    fn sum_and_avg_accumulate_mixed_rows_in_place() {
+        use cobra_provenance::{Monomial, Polynomial, VarRegistry};
+        let mut reg = VarRegistry::new();
+        let [x, y] = [reg.var("x"), reg.var("y")].map(Monomial::var);
+        let term = |m: &Monomial, c: &str| Value::Poly(Polynomial::term(m.clone(), rat(c)));
+        let rows = vec![
+            vec![Value::Int(1)],
+            vec![term(&x, "2")],
+            vec![Value::Num(rat("0.5"))],
+            vec![term(&y, "4")],
+            vec![term(&x, "3")],
+            vec![term(&y, "-4")],
+        ];
+        let mut db = Database::new();
+        db.insert("p", Relation::from_rows(["val"], rows).unwrap());
+        let plan = Plan::scan("p").aggregate(
+            vec![],
+            vec![
+                (AggFunc::Sum, Expr::col("val"), "total"),
+                (AggFunc::Avg, Expr::col("val"), "mean"),
+            ],
+        );
+        let rel = execute(&db, &plan).unwrap();
+        let total = Polynomial::from_terms([(Monomial::one(), rat("1.5")), (x, rat("5"))]);
+        assert_eq!(rel.rows()[0][1], Value::Poly(total.scale(&Rat::new(1, 6))));
+        assert_eq!(rel.rows()[0][0], Value::Poly(total));
     }
 
     #[test]

@@ -148,9 +148,9 @@ impl BoundExpr {
         Ok(match self {
             BoundExpr::Col(i) => row[*i].clone(),
             BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Add(a, b) => a.eval(row)?.add(&b.eval(row)?)?,
-            BoundExpr::Sub(a, b) => a.eval(row)?.sub(&b.eval(row)?)?,
-            BoundExpr::Mul(a, b) => a.eval(row)?.mul(&b.eval(row)?)?,
+            BoundExpr::Add(a, b) => a.eval(row)?.add(b.eval(row)?)?,
+            BoundExpr::Sub(a, b) => a.eval(row)?.sub(b.eval(row)?)?,
+            BoundExpr::Mul(a, b) => a.eval(row)?.mul(b.eval(row)?)?,
             BoundExpr::Div(a, b) => a.eval(row)?.div(&b.eval(row)?)?,
             BoundExpr::Neg(a) => a.eval(row)?.neg()?,
         })

@@ -30,6 +30,10 @@ pub enum Value {
     Poly(Polynomial<Rat>),
 }
 
+// `add`, `sub` and `mul` take their operands by value like the operator
+// traits, but they are fallible (a type error is a `Result`), so they stay
+// methods.
+#[allow(clippy::should_implement_trait)]
 impl Value {
     /// Convenience string constructor.
     pub fn str(s: &str) -> Value {
@@ -75,47 +79,55 @@ impl Value {
         }
     }
 
-    fn numeric_pair(&self, other: &Value, op: &str) -> Result<NumPair> {
-        // Symbolic wins; otherwise exact rational; ints stay ints for +,-,*.
-        match (self, other) {
-            (Value::Poly(a), b) => Ok(NumPair::Poly(
-                a.clone(),
-                b.as_poly()
-                    .ok_or_else(|| type_err(op, self, other))?,
-            )),
-            (a, Value::Poly(b)) => Ok(NumPair::Poly(
-                a.as_poly().ok_or_else(|| type_err(op, self, other))?,
-                b.clone(),
-            )),
-            (Value::Int(a), Value::Int(b)) => Ok(NumPair::Int(*a, *b)),
-            (a, b) => {
-                let ra = a.as_rat().ok_or_else(|| type_err(op, self, other))?;
-                let rb = b.as_rat().ok_or_else(|| type_err(op, self, other))?;
-                Ok(NumPair::Rat(ra, rb))
-            }
+    fn into_poly(self) -> Option<Polynomial<Rat>> {
+        match self {
+            Value::Poly(p) => Some(p),
+            other => other.as_rat().map(Polynomial::constant),
         }
     }
 
-    /// Numeric addition with promotion.
-    pub fn add(&self, other: &Value) -> Result<Value> {
+    /// The operands of `+`, `-`, `*` promoted to one type. Both are taken
+    /// by value so a polynomial moves into the result instead of being
+    /// cloned for it.
+    fn numeric_pair(self, other: Value, op: &str) -> Result<NumPair> {
+        let (left, right) = (self.type_name(), other.type_name());
+        let err = || type_err(op, left, right);
+        // Symbolic wins; otherwise exact rational; ints stay ints for +,-,*.
+        Ok(match (self, other) {
+            (Value::Poly(a), b) => NumPair::Poly(a, b.into_poly().ok_or_else(err)?),
+            (a, Value::Poly(b)) => NumPair::Poly(a.into_poly().ok_or_else(err)?, b),
+            (Value::Int(a), Value::Int(b)) => NumPair::Int(a, b),
+            (a, b) => NumPair::Rat(a.as_rat().ok_or_else(err)?, b.as_rat().ok_or_else(err)?),
+        })
+    }
+
+    /// Numeric addition with promotion. Of two polynomials the longer one
+    /// is updated in place (`SUM`'s running total is never copied).
+    pub fn add(self, other: Value) -> Result<Value> {
         Ok(match self.numeric_pair(other, "+")? {
             NumPair::Int(a, b) => Value::Int(a + b),
             NumPair::Rat(a, b) => Value::Num(a + b),
-            NumPair::Poly(a, b) => Value::Poly(a.add(&b)),
+            NumPair::Poly(mut a, b) => {
+                a += b;
+                Value::Poly(a)
+            }
         })
     }
 
     /// Numeric subtraction with promotion.
-    pub fn sub(&self, other: &Value) -> Result<Value> {
+    pub fn sub(self, other: Value) -> Result<Value> {
         Ok(match self.numeric_pair(other, "-")? {
             NumPair::Int(a, b) => Value::Int(a - b),
             NumPair::Rat(a, b) => Value::Num(a - b),
-            NumPair::Poly(a, b) => Value::Poly(a.sub(&b)),
+            NumPair::Poly(mut a, b) => {
+                a -= b;
+                Value::Poly(a)
+            }
         })
     }
 
     /// Numeric multiplication with promotion.
-    pub fn mul(&self, other: &Value) -> Result<Value> {
+    pub fn mul(self, other: Value) -> Result<Value> {
         Ok(match self.numeric_pair(other, "*")? {
             NumPair::Int(a, b) => Value::Int(a * b),
             NumPair::Rat(a, b) => Value::Num(a * b),
@@ -132,7 +144,7 @@ impl Value {
                 Value::Poly(_) => {
                     EngineError::SymbolicValue("divisor must be a concrete scalar".into())
                 }
-                _ => type_err("/", self, other),
+                _ => type_err("/", self.type_name(), other.type_name()),
             })?;
         if d.is_zero() {
             return Err(EngineError::DivisionByZero);
@@ -140,7 +152,9 @@ impl Value {
         Ok(match self {
             Value::Poly(p) => Value::Poly(p.scale(&d.recip())),
             _ => {
-                let n = self.as_rat().ok_or_else(|| type_err("/", self, other))?;
+                let n = self
+                    .as_rat()
+                    .ok_or_else(|| type_err("/", self.type_name(), other.type_name()))?;
                 Value::Num(n / d)
             }
         })
@@ -170,8 +184,9 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Ok(a.cmp(b)),
             _ => {
-                let a = self.as_rat().ok_or_else(|| type_err("compare", self, other))?;
-                let b = other.as_rat().ok_or_else(|| type_err("compare", self, other))?;
+                let err = || type_err("compare", self.type_name(), other.type_name());
+                let a = self.as_rat().ok_or_else(err)?;
+                let b = other.as_rat().ok_or_else(err)?;
                 Ok(a.cmp(&b))
             }
         }
@@ -215,12 +230,8 @@ enum NumPair {
     Poly(Polynomial<Rat>, Polynomial<Rat>),
 }
 
-fn type_err(op: &str, a: &Value, b: &Value) -> EngineError {
-    EngineError::TypeError(format!(
-        "operator {op} not defined for {} and {}",
-        a.type_name(),
-        b.type_name()
-    ))
+fn type_err(op: &str, left: &str, right: &str) -> EngineError {
+    EngineError::TypeError(format!("operator {op} not defined for {left} and {right}"))
 }
 
 /// Hashable projection of a concrete [`Value`] for join/group keys.
@@ -289,9 +300,9 @@ mod tests {
     fn integer_arithmetic_stays_integer() {
         let a = Value::Int(6);
         let b = Value::Int(4);
-        assert_eq!(a.add(&b).unwrap(), Value::Int(10));
-        assert_eq!(a.sub(&b).unwrap(), Value::Int(2));
-        assert_eq!(a.mul(&b).unwrap(), Value::Int(24));
+        assert_eq!(a.clone().add(b.clone()).unwrap(), Value::Int(10));
+        assert_eq!(a.clone().sub(b.clone()).unwrap(), Value::Int(2));
+        assert_eq!(a.clone().mul(b.clone()).unwrap(), Value::Int(24));
         // division always produces exact rationals
         assert_eq!(a.div(&b).unwrap(), Value::Num(rat("1.5")));
     }
@@ -300,7 +311,7 @@ mod tests {
     fn mixed_numeric_promotes_to_rat() {
         let a = Value::Int(522);
         let b = Value::Num(rat("0.4"));
-        assert_eq!(a.mul(&b).unwrap(), Value::Num(rat("208.8")));
+        assert_eq!(a.mul(b).unwrap(), Value::Num(rat("208.8")));
     }
 
     #[test]
@@ -308,7 +319,7 @@ mod tests {
         let mut reg = VarRegistry::new();
         let x = reg.var("x");
         let px = Value::Poly(Polynomial::var(x));
-        let out = Value::Int(3).mul(&px).unwrap().add(&Value::Int(1)).unwrap();
+        let out = Value::Int(3).mul(px).unwrap().add(Value::Int(1)).unwrap();
         match out {
             Value::Poly(p) => {
                 assert_eq!(p.num_terms(), 2);
@@ -373,7 +384,7 @@ mod tests {
 
     #[test]
     fn type_errors_carry_names() {
-        let err = Value::str("x").add(&Value::Int(1)).unwrap_err();
+        let err = Value::str("x").add(Value::Int(1)).unwrap_err();
         match err {
             EngineError::TypeError(m) => assert!(m.contains("str") && m.contains("int")),
             other => panic!("{other:?}"),

@@ -47,6 +47,17 @@ impl Monomial {
         Monomial { factors: out }
     }
 
+    /// Wraps factors that are already canonical (variables strictly
+    /// increasing, exponents ≥ 1) in one exactly-sized allocation — the
+    /// text parser keeps each product's factors in that form as it reads.
+    pub(crate) fn from_canonical(factors: &[(Var, u32)]) -> Monomial {
+        debug_assert!(factors.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(factors.iter().all(|&(_, e)| e > 0));
+        Monomial {
+            factors: factors.to_vec(),
+        }
+    }
+
     /// True iff this is the unit monomial.
     pub fn is_one(&self) -> bool {
         self.factors.is_empty()
@@ -86,7 +97,17 @@ impl Monomial {
     }
 
     /// Product of two monomials (exponents add).
+    ///
+    /// # Panics
+    /// Panics if an exponent sum overflows `u32`.
     pub fn mul(&self, other: &Monomial) -> Monomial {
+        self.checked_mul(other)
+            .expect("monomial exponent overflows u32")
+    }
+
+    /// Product of two monomials; `None` iff an exponent sum overflows
+    /// `u32` (reachable from text: `x^4294967295 * x^4294967295`).
+    pub(crate) fn checked_mul(&self, other: &Monomial) -> Option<Monomial> {
         // Merge two sorted factor lists.
         let mut out = Vec::with_capacity(self.factors.len() + other.factors.len());
         let (mut i, mut j) = (0, 0);
@@ -103,7 +124,7 @@ impl Monomial {
                     j += 1;
                 }
                 Ordering::Equal => {
-                    out.push((va, ea + eb));
+                    out.push((va, ea.checked_add(eb)?));
                     i += 1;
                     j += 1;
                 }
@@ -111,7 +132,7 @@ impl Monomial {
         }
         out.extend_from_slice(&self.factors[i..]);
         out.extend_from_slice(&other.factors[j..]);
-        Monomial { factors: out }
+        Some(Monomial { factors: out })
     }
 
     /// Multiplies by a single variable.

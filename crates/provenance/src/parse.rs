@@ -1,9 +1,9 @@
 //! Text format for provenance polynomials.
 //!
 //! COBRA's architecture (paper Fig. 4) takes polynomials "generated by any
-//! provenance engine". This module is the interchange point: a lexer and
-//! recursive-descent parser for the textual form that [`Polynomial::display`]
-//! prints, so external engines can hand COBRA their provenance as text.
+//! provenance engine". This module is the interchange point: a parser for
+//! the textual form that [`Polynomial::display`] prints, so external
+//! engines can hand COBRA their provenance as text.
 //!
 //! Grammar (whitespace-insensitive):
 //!
@@ -15,11 +15,37 @@
 //! factor  := number | ident ('^' uint)? | '(' poly ')'
 //! number  := decimal ['/' decimal]     # exact rational, e.g. 208.8, 1/3
 //! ```
+//!
+//! A `-` may also stand before any factor (printers emit `+ -5*x`).
+//!
+//! # Cost
+//!
+//! The text is untrusted and can be large (a `prepare` request carries
+//! it), so the parser's cost is part of its contract:
+//!
+//! * **One pass.** A single cursor walks the bytes; there is no token
+//!   list, identifiers are interned from the borrowed slice and number
+//!   literals parsed from it. Error offsets are positions of that cursor,
+//!   also across the lines of a polynomial set.
+//! * **One canonicalisation per polynomial.** Each `coeff*var^e*…` product
+//!   is folded straight into one `(monomial, coefficient)` pair — one
+//!   allocation — and pushed on the polynomial's term list; the list is
+//!   sorted, merged and stripped of zeros once, at the end of the sum.
+//!   Printed polynomials are already sorted, so that sort sees one run.
+//!   Parsing is linear in the text, not quadratic in the number of terms.
+//! * **Polynomial algebra only inside parentheses.** A parenthesised
+//!   factor is parsed to a polynomial of its own and the product
+//!   distributes over it; nothing else multiplies or adds polynomials.
+//! * **Bounded and checked.** Parentheses nest at most 256 deep and unary
+//!   minus is a sign flip in a loop, so no input recurses without bound;
+//!   coefficient products and sums and exponent sums are checked. Each
+//!   violation is a [`ParseError`] at the offending byte, never a panic, a
+//!   stack overflow or a wrapped value.
 
 use crate::monomial::Monomial;
 use crate::poly::Polynomial;
 use crate::polyset::PolySet;
-use crate::var::VarRegistry;
+use crate::var::{Var, VarRegistry};
 use cobra_util::Rat;
 use std::fmt;
 
@@ -40,290 +66,276 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Number(Rat),
-    Ident(String),
-    Plus,
-    Minus,
-    Star,
-    Caret,
-    LParen,
-    RParen,
+fn error(offset: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        offset,
+        message: message.into(),
+    }
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
+/// A product or sum here leaves the representable range.
+fn overflow(offset: usize) -> ParseError {
+    error(
+        offset,
+        "overflow: coefficients are reduced i128 fractions, exponents u32",
+    )
+}
+
+/// Deepest accepted nesting of parentheses: each level is one turn of the
+/// `poly → term → poly` recursion, and 256 of them fit a 2 MiB server
+/// connection thread many times over.
+const MAX_NESTING: usize = 256;
+
+/// One product of a sum with the offset it starts at (for the report when
+/// adding it to an equal monomial overflows).
+type Term = (Monomial, Rat, usize);
+
+/// The single cursor over the input.
+struct Parser<'a> {
+    src: &'a str,
     pos: usize,
+    depth: usize,
+    reg: &'a mut VarRegistry,
+    /// The variable factors of the product being read, kept canonical
+    /// (sorted by variable, equal variables merged) and reused from one
+    /// product to the next.
+    factors: Vec<(Var, u32)>,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
+impl Parser<'_> {
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.src.as_bytes().get(at).copied()
     }
 
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+    /// Skips whitespace and returns the byte the cursor then stands on.
+    fn peek(&mut self) -> Option<u8> {
+        while self.byte(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
+        self.byte(self.pos)
     }
 
-    fn tokenize(mut self) -> Result<Vec<(usize, Token)>, ParseError> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.pos >= self.src.len() {
-                return Ok(out);
-            }
-            let start = self.pos;
-            let c = self.src[self.pos];
-            let tok = match c {
-                b'+' => {
-                    self.pos += 1;
-                    Token::Plus
-                }
-                b'-' => {
-                    self.pos += 1;
-                    Token::Minus
-                }
-                b'*' => {
-                    self.pos += 1;
-                    Token::Star
-                }
-                b'^' => {
-                    self.pos += 1;
-                    Token::Caret
-                }
-                b'(' => {
-                    self.pos += 1;
-                    Token::LParen
-                }
-                b')' => {
-                    self.pos += 1;
-                    Token::RParen
-                }
-                b'0'..=b'9' | b'.' => self.lex_number()?,
-                c if c.is_ascii_alphabetic() || c == b'_' => self.lex_ident(),
-                other => {
-                    return Err(self.error(format!("unexpected character {:?}", other as char)))
-                }
-            };
-            out.push((start, tok));
+    fn eat(&mut self, byte: u8) -> bool {
+        let found = self.peek() == Some(byte);
+        if found {
+            self.pos += 1;
         }
+        found
     }
 
-    fn lex_number(&mut self) -> Result<Token, ParseError> {
+    /// The error for input that cannot continue here. The cursor only ever
+    /// steps over ASCII, so it stands on a character boundary.
+    fn unexpected(&mut self, expected: &str) -> ParseError {
+        self.peek();
+        let found = match self.src[self.pos..].chars().next() {
+            Some(c) => format!("{c:?}"),
+            None => "end of input".to_owned(),
+        };
+        error(self.pos, format!("expected {expected}, found {found}"))
+    }
+
+    /// `poly := term (('+'|'-') term)*`, canonicalised once at its end (a
+    /// leading `-` is the first term's unary minus).
+    fn poly(&mut self) -> Result<Polynomial<Rat>, ParseError> {
+        let mut terms: Vec<Term> = Vec::new();
+        let mut negate = false;
+        loop {
+            self.term(negate, &mut terms)?;
+            negate = match self.peek() {
+                Some(b'+') => false,
+                Some(b'-') => true,
+                _ => break,
+            };
+            self.pos += 1;
+        }
+        Polynomial::checked_from_terms(terms).map_err(overflow)
+    }
+
+    /// `term := factor ('*' factor)*`, folded into one `(monomial,
+    /// coefficient)` on `out` — or, when a factor is parenthesised, into
+    /// that factor's terms each multiplied by the rest of the product.
+    fn term(&mut self, mut negate: bool, out: &mut Vec<Term>) -> Result<(), ParseError> {
+        self.peek();
+        let start = self.pos;
+        let mut coeff: Option<Rat> = None;
+        let mut nested: Option<Polynomial<Rat>> = None;
+        self.factors.clear();
+        loop {
+            while self.eat(b'-') {
+                negate = !negate;
+            }
+            let at = self.pos;
+            match self.peek() {
+                Some(b'0'..=b'9' | b'.') => {
+                    let number = self.number()?;
+                    coeff = Some(match coeff {
+                        None => number,
+                        Some(c) => c.checked_mul(number).ok_or_else(|| overflow(at))?,
+                    });
+                }
+                Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
+                    let var = self.ident();
+                    let exp = if self.eat(b'^') { self.exponent()? } else { 1 };
+                    match self.factors.binary_search_by_key(&var, |&(v, _)| v) {
+                        Ok(i) => {
+                            let sum = self.factors[i].1.checked_add(exp);
+                            self.factors[i].1 = sum.ok_or_else(|| overflow(at))?;
+                        }
+                        Err(i) => self.factors.insert(i, (var, exp)),
+                    }
+                }
+                Some(b'(') => {
+                    let inner = self.parenthesised()?;
+                    nested = Some(match nested {
+                        None => inner,
+                        Some(product) => product.checked_mul(&inner).ok_or_else(|| overflow(at))?,
+                    });
+                }
+                _ => return Err(self.unexpected("a number, a variable or '('")),
+            }
+            if !self.eat(b'*') {
+                break;
+            }
+        }
+        // A product of literals is non-negative, so negating it cannot
+        // leave `i128`.
+        let coeff = coeff.unwrap_or(Rat::ONE);
+        let coeff = if negate { -coeff } else { coeff };
+        let monomial = Monomial::from_canonical(&self.factors);
+        let Some(nested) = nested else {
+            out.push((monomial, coeff, start));
+            return Ok(());
+        };
+        for (m, c) in nested.terms() {
+            let product = m.checked_mul(&monomial).zip(c.checked_mul(coeff));
+            let (m, c) = product.ok_or_else(|| overflow(start))?;
+            out.push((m, c, start));
+        }
+        Ok(())
+    }
+
+    /// `'(' poly ')'` with the cursor on the `(`.
+    fn parenthesised(&mut self) -> Result<Polynomial<Rat>, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(error(
+                self.pos,
+                format!("parentheses nested deeper than {MAX_NESTING}"),
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        // The nested sum's products use `factors` too; ours wait here.
+        let outer = std::mem::take(&mut self.factors);
+        let inner = self.poly()?;
+        self.factors = outer;
+        self.depth -= 1;
+        if !self.eat(b')') {
+            return Err(self.unexpected("')'"));
+        }
+        Ok(inner)
+    }
+
+    /// `number := decimal ['/' decimal]`, parsed from the borrowed slice.
+    fn number(&mut self) -> Result<Rat, ParseError> {
         let start = self.pos;
         let mut seen_dot = false;
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' if !seen_dot => {
-                    seen_dot = true;
-                    self.pos += 1;
-                }
+        while let Some(b) = self.byte(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' if !seen_dot => seen_dot = true,
                 _ => break,
             }
-        }
-        let mut text =
-            std::str::from_utf8(&self.src[start..self.pos]).expect("ascii slice").to_owned();
-        // Optional '/denominator' for exact fractions.
-        if self.pos < self.src.len() && self.src[self.pos] == b'/' {
-            let save = self.pos;
             self.pos += 1;
-            let dstart = self.pos;
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
+        }
+        // A '/' is part of the literal only when a digit follows it.
+        if self.byte(self.pos) == Some(b'/')
+            && self.byte(self.pos + 1).is_some_and(|b| b.is_ascii_digit())
+        {
+            self.pos += 2;
+            while self.byte(self.pos).is_some_and(|b| b.is_ascii_digit()) {
                 self.pos += 1;
             }
-            if self.pos == dstart {
-                // not a fraction after all (e.g. trailing '/'), rewind
-                self.pos = save;
-            } else {
-                text.push('/');
-                text.push_str(std::str::from_utf8(&self.src[dstart..self.pos]).expect("ascii"));
-            }
         }
-        Rat::parse(&text)
-            .map(Token::Number)
-            .map_err(|_| ParseError {
-                offset: start,
-                message: format!("invalid number literal {text:?}"),
-            })
+        let text = &self.src[start..self.pos];
+        Rat::parse(text).map_err(|_| error(start, format!("invalid number literal {text:?}")))
     }
 
-    fn lex_ident(&mut self) -> Token {
+    /// The exponent after a `^`: a number literal that is a positive
+    /// integer.
+    fn exponent(&mut self) -> Result<u32, ParseError> {
+        let bad = "expected positive integer exponent";
+        if !matches!(self.peek(), Some(b'0'..=b'9' | b'.')) {
+            return Err(error(self.pos, bad));
+        }
+        let at = self.pos;
+        let exp = self.number()?;
+        if !exp.is_integer() || exp.numer() <= 0 {
+            return Err(error(at, bad));
+        }
+        u32::try_from(exp.numer()).map_err(|_| error(at, "exponent too large"))
+    }
+
+    /// An identifier with the cursor on its first byte, interned.
+    fn ident(&mut self) -> Var {
         let start = self.pos;
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_alphanumeric()
-                || self.src[self.pos] == b'_'
-                || self.src[self.pos] == b'#')
+        while self
+            .byte(self.pos)
+            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'#')
         {
             self.pos += 1;
         }
-        Token::Ident(
-            std::str::from_utf8(&self.src[start..self.pos])
-                .expect("ascii slice")
-                .to_owned(),
-        )
+        self.reg.var(&self.src[start..self.pos])
     }
 }
 
-struct Parser<'a> {
-    tokens: Vec<(usize, Token)>,
-    pos: usize,
-    reg: &'a mut VarRegistry,
-    input_len: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(_, t)| t)
+/// Parses the polynomial that fills `src[from..]`; error offsets are
+/// offsets into `src`.
+fn parse_from(
+    src: &str,
+    from: usize,
+    reg: &mut VarRegistry,
+) -> Result<Polynomial<Rat>, ParseError> {
+    let mut parser = Parser {
+        src,
+        pos: from,
+        depth: 0,
+        reg,
+        factors: Vec::new(),
+    };
+    let poly = parser.poly()?;
+    if parser.peek().is_some() {
+        return Err(parser.unexpected("'+', '-', '*' or the end of the polynomial"));
     }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(_, t)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map(|(o, _)| *o)
-            .unwrap_or(self.input_len)
-    }
-
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.offset(),
-            message: message.into(),
-        }
-    }
-
-    fn parse_poly(&mut self) -> Result<Polynomial<Rat>, ParseError> {
-        let mut negate = false;
-        if self.peek() == Some(&Token::Minus) {
-            self.next();
-            negate = true;
-        }
-        let mut acc = self.parse_term()?;
-        if negate {
-            acc = acc.neg();
-        }
-        loop {
-            match self.peek() {
-                Some(Token::Plus) => {
-                    self.next();
-                    let t = self.parse_term()?;
-                    acc = acc.add(&t);
-                }
-                Some(Token::Minus) => {
-                    self.next();
-                    let t = self.parse_term()?;
-                    acc = acc.sub(&t);
-                }
-                _ => return Ok(acc),
-            }
-        }
-    }
-
-    fn parse_term(&mut self) -> Result<Polynomial<Rat>, ParseError> {
-        let mut acc = self.parse_factor()?;
-        while self.peek() == Some(&Token::Star) {
-            self.next();
-            let f = self.parse_factor()?;
-            acc = acc.mul(&f);
-        }
-        Ok(acc)
-    }
-
-    fn parse_factor(&mut self) -> Result<Polynomial<Rat>, ParseError> {
-        match self.next() {
-            // unary minus on a factor (printers emit `+ -5*x` for
-            // negative coefficients)
-            Some(Token::Minus) => Ok(self.parse_factor()?.neg()),
-            Some(Token::Number(r)) => Ok(Polynomial::constant(r)),
-            Some(Token::Ident(name)) => {
-                let v = self.reg.var(&name);
-                let exp = if self.peek() == Some(&Token::Caret) {
-                    self.next();
-                    match self.next() {
-                        Some(Token::Number(r)) if r.is_integer() && r.numer() > 0 => {
-                            u32::try_from(r.numer())
-                                .map_err(|_| self.error("exponent too large"))?
-                        }
-                        _ => return Err(self.error("expected positive integer exponent")),
-                    }
-                } else {
-                    1
-                };
-                Ok(Polynomial::term(
-                    Monomial::from_pairs([(v, exp)]),
-                    Rat::ONE,
-                ))
-            }
-            Some(Token::LParen) => {
-                let p = self.parse_poly()?;
-                if self.next() != Some(Token::RParen) {
-                    return Err(self.error("expected ')'"));
-                }
-                Ok(p)
-            }
-            other => Err(self.error(format!("expected factor, found {other:?}"))),
-        }
-    }
+    Ok(poly)
 }
 
 /// Parses a single polynomial, interning variables into `reg`.
 pub fn parse_poly(src: &str, reg: &mut VarRegistry) -> Result<Polynomial<Rat>, ParseError> {
-    let tokens = Lexer::new(src).tokenize()?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        reg,
-        input_len: src.len(),
-    };
-    let p = parser.parse_poly()?;
-    if parser.pos != parser.tokens.len() {
-        return Err(parser.error("trailing input after polynomial"));
-    }
-    Ok(p)
+    parse_from(src, 0, reg)
 }
 
 /// Parses a polynomial set: one `label = poly` per non-empty line.
 /// Lines starting with `#` are comments. Labels must not contain `=`.
 pub fn parse_polyset(src: &str, reg: &mut VarRegistry) -> Result<PolySet<Rat>, ParseError> {
     let mut set = PolySet::new();
-    let mut consumed = 0usize;
-    for line in src.lines() {
-        let line_start = consumed;
-        consumed += line.len() + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+    let mut next_line = 0;
+    for raw in src.split_inclusive('\n') {
+        let indented = raw.trim_start();
+        let at = next_line + raw.len() - indented.len();
+        next_line += raw.len();
+        let line = indented.trim_end();
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let Some((label, body)) = trimmed.split_once('=') else {
-            return Err(ParseError {
-                offset: line_start,
-                message: format!("expected 'label = polynomial', got {trimmed:?}"),
-            });
+        let Some((label, _)) = line.split_once('=') else {
+            return Err(error(
+                at,
+                format!("expected 'label = polynomial', got {line:?}"),
+            ));
         };
-        let poly = parse_poly(body, reg).map_err(|e| ParseError {
-            offset: line_start + e.offset,
-            message: e.message,
-        })?;
+        // The text up to this line's end, read from behind the `=`: one
+        // cursor position means one offset, in any line.
+        let poly = parse_from(&src[..at + line.len()], at + label.len() + 1, reg)?;
         set.push(label.trim(), poly);
     }
     Ok(set)
@@ -361,7 +373,6 @@ pub fn write_polyset_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monomial::Monomial;
 
     fn rat(s: &str) -> Rat {
         Rat::parse(s).unwrap()
@@ -430,6 +441,148 @@ mod tests {
         assert_eq!(err.offset, 4);
     }
 
+    /// Every accepted spelling, next to the same expression built through
+    /// the polynomial algebra the parser no longer uses for flat products.
+    #[test]
+    fn accepted_forms_equal_the_algebra() {
+        let mut reg = VarRegistry::new();
+        let [x, y] = [reg.var("x"), reg.var("y")].map(Polynomial::<Rat>::var);
+        let k = |s: &str| Polynomial::constant(rat(s));
+        let cases = [
+            ("(x + 1)*(y - 2)", x.add(&k("1")).mul(&y.sub(&k("2")))),
+            ("-(x - y)*3", x.sub(&y).mul(&k("3")).neg()),
+            ("2*y + -5*x", k("2").mul(&y).add(&k("5").mul(&x).neg())),
+            ("2*3*x*x^2", k("6").mul(&x).mul(&x).mul(&x)),
+            (
+                "1/3*x",
+                Polynomial::term(Monomial::var(Var(0)), Rat::new(1, 3)),
+            ),
+            ("- - x - -y", x.add(&y)),
+            ("x*-y", x.mul(&y).neg()),
+            ("x*(y + 1)*x - x^2*y", x.mul(&x)),
+            (
+                "2*(x + y)*(x - y)*3",
+                k("6").mul(&x.mul(&x).sub(&y.mul(&y))),
+            ),
+            ("((x))", x.clone()),
+            ("x - x", Polynomial::zero()),
+            ("0*x + y", y.clone()),
+            ("x^4/2", x.mul(&x)),
+            (" 1.50 *\tx\n+ .5 ", k("1.5").mul(&x).add(&k("0.5"))),
+        ];
+        for (src, want) in cases {
+            assert_eq!(parse_poly(src, &mut reg).as_ref(), Ok(&want), "{src:?}");
+        }
+        assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn rejected_forms_and_their_offsets() {
+        let mut reg = VarRegistry::new();
+        for (src, offset) in [
+            ("(x - y)^2", 7),
+            ("2*x/", 3),
+            ("1/x", 1),
+            ("1.5/3*x", 0),
+            ("+ x", 0),
+            ("x + + y", 4),
+            ("x^0", 2),
+            ("x^-2", 2),
+            ("x^1.5", 2),
+            ("x^4294967296", 2),
+            ("x y", 2),
+            ("(x + y", 6),
+            ("x + y)", 5),
+            ("x * é", 4),
+            ("99999999999999999999999999999999999999.5*x", 0),
+        ] {
+            let err = parse_poly(src, &mut reg).unwrap_err();
+            assert_eq!(err.offset, offset, "{src:?}: {err}");
+        }
+    }
+
+    /// Text that used to end the process (stack overflow) is a typed error.
+    #[test]
+    fn unbounded_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let mut reg = VarRegistry::new();
+        let err = parse_poly(&"(".repeat(1_000_000), &mut reg).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        assert!(err.message.contains("nested deeper than 256"), "{err}");
+
+        // a run of unary minus is a loop: the error is the missing factor
+        let err = parse_poly(&"-".repeat(1_000_000), &mut reg).unwrap_err();
+        assert_eq!(err.offset, 1_000_000);
+        let src = format!("{}x", "-".repeat(1_000_001));
+        let x = Polynomial::var(reg.var("x"));
+        assert_eq!(parse_poly(&src, &mut reg), Ok(x.neg()));
+
+        // the cap itself parses, on a quarter of a connection thread's stack
+        let nested = format!(
+            "{}x + 1{}",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        let parsed = std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(move || {
+                let mut reg = VarRegistry::new();
+                parse_poly(&nested, &mut reg).map(|p| p.num_terms())
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(parsed, Ok(2));
+    }
+
+    /// Text that used to wrap silently in release builds (or panic, in
+    /// debug builds and in `Rat::add`) is a typed error at the operand
+    /// that does not fit.
+    #[test]
+    fn overflowing_arithmetic_is_a_parse_error_not_a_wrapped_value() {
+        let mut reg = VarRegistry::new();
+        let max = i128::MAX.to_string();
+        for (src, offset) in [
+            (format!("{max}*{max}*x"), 40),
+            (format!("2*x*{max}"), 4),
+            ("x^4294967295 * x^4294967295".to_owned(), 15),
+            (format!("{max}*x + {max}*x"), 44),
+            (format!("({max}*x)*(2*x)"), 44),
+            (format!("({max}*x)*2"), 0),
+            (format!("y*({max}*x - 1) + ({max}*x + 1)*y"), 52),
+            ("(x^4294967295)*x".to_owned(), 0),
+        ] {
+            let err = parse_poly(&src, &mut reg).unwrap_err();
+            assert_eq!(err.offset, offset, "{src:?}: {err}");
+            assert!(err.message.starts_with("overflow"), "{err}");
+        }
+        // the same magnitudes where the exact result fits
+        let p = parse_poly(&format!("{max}*x - {max}*x + x^4294967295"), &mut reg).unwrap();
+        assert_eq!(p.num_terms(), 1);
+        assert_eq!(p.degree(), u32::MAX);
+    }
+
+    /// One cursor over the whole input: the offset of an error in line *n*
+    /// is its offset in the text, whatever the label's width and the line
+    /// ends (it used to be the line start plus the offset after the `=`,
+    /// with every line end counted as one byte).
+    #[test]
+    fn polyset_error_offsets_are_offsets_into_the_text() {
+        let mut reg = VarRegistry::new();
+        let src = "P1 = 2*x + 3*y\nLONGLABEL =    4*x + $\n";
+        assert_eq!(src.find('$'), Some(36));
+        assert_eq!(parse_polyset(src, &mut reg).unwrap_err().offset, 36);
+        let crlf = "P1 = 2*x + 3*y\r\nP2 =     4*x + $\r\n";
+        assert_eq!(crlf.find('$'), Some(31));
+        assert_eq!(parse_polyset(crlf, &mut reg).unwrap_err().offset, 31);
+        // a line without '=' is reported at its first byte
+        let err = parse_polyset("P1 = x\n\n   oops\n", &mut reg).unwrap_err();
+        assert_eq!(err.offset, 11);
+        // and a parse that stops at a line's end says so at that offset
+        let err = parse_polyset("P1 = x +\nP2 = y", &mut reg).unwrap_err();
+        assert_eq!(err.offset, 8);
+        assert!(err.message.contains("end of input"), "{err}");
+    }
+
     #[test]
     fn polyset_lines_comments_and_labels() {
         let mut reg = VarRegistry::new();
@@ -465,7 +618,10 @@ mod tests {
         write_polyset_file(&path, &set, &reg).unwrap();
         let mut reg2 = VarRegistry::new();
         let back = read_polyset_file(&path, &mut reg2).unwrap();
-        assert_eq!(back.display(&reg2).to_string(), set.display(&reg).to_string());
+        assert_eq!(
+            back.display(&reg2).to_string(),
+            set.display(&reg).to_string()
+        );
         std::fs::remove_file(&path).ok();
         // missing file folds into ParseError
         let err = read_polyset_file("/nonexistent/cobra.txt", &mut reg2).unwrap_err();

@@ -12,6 +12,7 @@ use crate::valuation::{DenseValuation, Valuation};
 use crate::var::{Var, VarRegistry};
 use cobra_util::{FxHashSet, Rat};
 use std::fmt;
+use std::ops::{AddAssign, SubAssign};
 
 /// Coefficient ring abstraction: exact rationals ([`Rat`]) for
 /// paper-faithful arithmetic, `f64` for the valuation speed benchmarks.
@@ -466,11 +467,70 @@ impl<C: Coeff> Polynomial<C> {
     }
 }
 
+/// `acc += p` folds `p` into a running sum **in place**: a monomial `acc`
+/// already has is a binary search and a coefficient update, a new one an
+/// insert, and nothing of `acc` is cloned or rebuilt — so summing *n*
+/// addends (SQL `SUM` over *n* rows) costs *n* short updates and holds
+/// only the distinct monomials, where *n* calls of [`Polynomial::add`]
+/// copy the running sum *n* times. The shorter operand is the one walked,
+/// which suits short addends on a long sum; to combine two long
+/// polynomials once, [`Polynomial::add`]'s single merge pass is cheaper.
+impl<C: Coeff> AddAssign for Polynomial<C> {
+    fn add_assign(&mut self, mut other: Polynomial<C>) {
+        if self.terms.len() < other.terms.len() {
+            std::mem::swap(&mut self.terms, &mut other.terms);
+        }
+        for (m, c) in other.terms {
+            self.add_term(m, c);
+        }
+    }
+}
+
+/// `acc -= p`, in place like [`AddAssign`].
+impl<C: Coeff> SubAssign for Polynomial<C> {
+    fn sub_assign(&mut self, mut other: Polynomial<C>) {
+        for (_, c) in &mut other.terms {
+            *c = C::zero().sub(c);
+        }
+        self.add_assign(other);
+    }
+}
+
 impl Polynomial<Rat> {
     /// Converts an exact polynomial to its `f64` counterpart (same shape,
     /// approximate coefficients) for the valuation speed benchmarks.
     pub fn to_f64_poly(&self) -> Polynomial<f64> {
         self.map_coeff(|c| c.to_f64())
+    }
+
+    /// [`from_terms`](Self::from_terms) for coefficients that come from
+    /// outside the program (the text parser): the sums of equal monomials
+    /// are checked. Each term carries a tag; equal monomials add in input
+    /// order, and the error is the tag of the first term whose addition
+    /// does not fit `i128`.
+    pub(crate) fn checked_from_terms<T>(mut terms: Vec<(Monomial, Rat, T)>) -> Result<Self, T> {
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out: Vec<(Monomial, Rat)> = Vec::with_capacity(terms.len());
+        for (m, c, tag) in terms {
+            match out.last_mut() {
+                Some((last_m, sum)) if *last_m == m => *sum = sum.checked_add(c).ok_or(tag)?,
+                _ => out.push((m, c)),
+            }
+        }
+        out.retain(|(_, c)| !c.is_zero());
+        Ok(Polynomial { terms: out })
+    }
+
+    /// [`mul`](Self::mul) with every coefficient product, coefficient sum
+    /// and exponent sum checked: `None` where `mul` would panic.
+    pub(crate) fn checked_mul(&self, other: &Self) -> Option<Self> {
+        let mut terms = Vec::new();
+        for (ma, ca) in &self.terms {
+            for (mb, cb) in &other.terms {
+                terms.push((ma.checked_mul(mb)?, ca.checked_mul(*cb)?, ()));
+            }
+        }
+        Self::checked_from_terms(terms).ok()
     }
 }
 
@@ -595,6 +655,65 @@ mod tests {
         // cancelling to zero removes the term
         p.add_term(Monomial::var(y), rat("-2"));
         assert_eq!(p.num_terms(), 1);
+    }
+
+    #[test]
+    fn in_place_sums_equal_the_immutable_ones() {
+        let (_, x, y, z) = setup();
+        let p = Polynomial::from_terms([
+            (Monomial::var(x), rat("2")),
+            (Monomial::var(y), rat("3")),
+            (Monomial::from_pairs([(x, 1), (z, 2)]), rat("1/7")),
+        ]);
+        let q =
+            Polynomial::from_terms([(Monomial::var(y), rat("-3")), (Monomial::var(z), rat("5"))]);
+        // short into long and long into short; `y` cancels and is dropped
+        for (a, b) in [(&p, &q), (&q, &p)] {
+            let mut acc = a.clone();
+            acc += b.clone();
+            assert_eq!(acc, a.add(b));
+            acc -= b.clone();
+            assert_eq!(&acc, a);
+            acc -= a.clone();
+            assert!(acc.is_zero());
+            acc -= b.clone();
+            assert_eq!(acc, b.neg());
+        }
+        // a running sum, as SQL SUM keeps it
+        let mut sum = Polynomial::zero();
+        for _ in 0..5 {
+            sum += p.clone();
+        }
+        assert_eq!(sum, p.scale(&rat("5")));
+    }
+
+    #[test]
+    fn checked_builders_report_what_the_plain_ones_panic_on() {
+        let (_, x, y, _) = setup();
+        let max = Rat::new(i128::MAX, 1);
+        let big = Polynomial::term(Monomial::var(x), max);
+        // coefficient product, coefficient sum, exponent sum
+        assert_eq!(big.checked_mul(&big), None);
+        let both =
+            Polynomial::from_terms([(Monomial::var(x), Rat::ONE), (Monomial::var(y), Rat::ONE)]);
+        let collide = Polynomial::from_terms([(Monomial::var(x), max), (Monomial::var(y), max)]);
+        assert_eq!(both.checked_mul(&collide), None); // x·y gets max + max
+        let steep = Polynomial::term(Monomial::from_pairs([(x, u32::MAX)]), Rat::ONE);
+        assert_eq!(steep.checked_mul(&Polynomial::var(x)), None);
+        // and agree with them everywhere else
+        assert_eq!(both.checked_mul(&both), Some(both.mul(&both)));
+        assert_eq!(
+            big.checked_mul(&Polynomial::zero()),
+            Some(Polynomial::zero())
+        );
+        // the tag of the first addition that does not fit comes back
+        let terms = vec![
+            (Monomial::var(y), max, 'a'),
+            (Monomial::var(x), max, 'b'),
+            (Monomial::var(x), -max, 'c'),
+            (Monomial::var(y), Rat::ONE, 'd'),
+        ];
+        assert_eq!(Polynomial::checked_from_terms(terms), Err('d'));
     }
 
     #[test]

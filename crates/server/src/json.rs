@@ -163,6 +163,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -173,9 +174,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Deepest accepted nesting of arrays and objects (the protocol needs 3).
+/// Each level is a turn of the `value → array → value` recursion, so a
+/// frame of `[[[[…` must be refused before it exhausts the connection
+/// thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -207,8 +215,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -216,6 +224,19 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
@@ -368,6 +389,22 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "1 2", "tru", "\"\\q\"", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// A megabyte of `[` used to overflow the stack (array → value →
+    /// array); the cap makes it an error, and what is under the cap parses.
+    #[test]
+    fn nesting_is_capped() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deep).is_ok());
+        assert!(parse(&format!("[{deep}]")).is_err());
+        // siblings do not add up: a level is released on the way out
+        let inner = &deep[1..deep.len() - 1];
+        assert!(parse(&format!("[{inner},{inner}]")).is_ok());
     }
 
     #[test]

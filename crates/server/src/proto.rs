@@ -29,6 +29,11 @@
 //! `{"id":…,"ok":false,"kind":…,"error":…}`. Budgeted sweeps that hit
 //! their deadline return a **typed partial**: `"partial":true` with the
 //! exact fold over the completed scenario prefix and the stop reason.
+//! A request the client got wrong — JSON that does not parse or nests
+//! deeper than 128, an unknown op or field type, polynomial text
+//! (`polys`, `term`) that does not parse, nests deeper than 256 or
+//! overflows `i128` — is `kind: "bad_request"` with the byte offset, and
+//! the connection stays open.
 
 use crate::json::Json;
 use cobra_util::Rat;

@@ -40,9 +40,8 @@ use crate::json::Json;
 use crate::proto::{WireDeltaAction, WireDeltaOp};
 use cobra_core::{restore_session, snapshot_session, Approx, CobraSession, CoreError, PolyDelta,
     ScenarioSet, SweepBudget, SweepOutcome};
-use cobra_provenance::parse::parse_poly;
 use cobra_provenance::persist::{write_file, PersistError};
-use cobra_provenance::{LoadedArtifact, Valuation};
+use cobra_provenance::{parse_poly, parse_polyset, LoadedArtifact, Valuation, VarRegistry};
 use cobra_util::{kernel, KernelTarget, Rat};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -256,7 +255,12 @@ impl SessionStore {
                 let tree = tree.ok_or_else(|| {
                     ("bad_request".to_owned(), "prepare with polys requires a tree".to_owned())
                 })?;
-                let mut s = CobraSession::from_text(polys).map_err(session_err)?;
+                // Malformed polynomial text is the client's mistake, like
+                // malformed JSON: `bad_request`, with the byte offset.
+                let mut reg = VarRegistry::new();
+                let set = parse_polyset(polys, &mut reg)
+                    .map_err(|e| ("bad_request".to_owned(), format!("polys: {e}")))?;
+                let mut s = CobraSession::new(reg, set);
                 s.add_tree_text(tree).map_err(session_err)?;
                 s.compress_frontier().map_err(session_err)?;
                 if dag {
@@ -916,7 +920,16 @@ mod tests {
             .dispatch("../evil", |reply| Job::Stats { reply })
             .unwrap_err();
         assert_eq!(kind, "bad_request");
-        let (kind, _) = store.prepare("t", Some("P1 ="), Some(TREE), false, false).unwrap_err();
+        // polynomial text that does not parse is the request's fault …
+        let (kind, message) = store
+            .prepare("t", Some("P1 ="), Some(TREE), false, false)
+            .unwrap_err();
+        assert_eq!(kind, "bad_request");
+        assert!(message.contains("parse error at byte 4"), "{message}");
+        // … a tree the session layer refuses is the session's
+        let (kind, _) = store
+            .prepare("t", Some("P1 = p1"), Some("T(("), false, false)
+            .unwrap_err();
         assert_eq!(kind, "session");
     }
 

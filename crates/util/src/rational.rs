@@ -20,10 +20,12 @@ use std::str::FromStr;
 /// intermediates of the reducing slow path would overflow, the sum is
 /// computed in 256-bit arithmetic and reduced by its gcd (the `wide`
 /// module), so
-/// results whose canonical form fits `i128` are always produced. Arithmetic
-/// panics (instead of silently wrapping) only when the exact *reduced*
-/// value itself does not fit; [`Rat::checked_add`] reports that case as
-/// `None`. The workloads in this repository stay far below these limits
+/// results whose canonical form fits `i128` are always produced.
+/// Multiplication cross-reduces before it multiplies, which has the same
+/// property. Both panic (instead of silently wrapping) only when the exact
+/// *reduced* value itself does not fit; [`Rat::checked_add`] and
+/// [`Rat::checked_mul`] report that case as `None`. The workloads in this
+/// repository stay far below these limits
 /// (denominators are products of price denominators, ≤ 10⁴).
 ///
 /// The layout is `#[repr(C)]` — two `i128`s — so persisted coefficient
@@ -56,6 +58,18 @@ fn all_fit_i64(values: [i128; 4]) -> bool {
     values
         .iter()
         .all(|&v| i64::try_from(v).is_ok())
+}
+
+/// `a · b`, `None` on overflow. Operands that fit `i64` — all but
+/// adversarial ones — cannot overflow and take one widening multiply;
+/// `i128::checked_mul` costs three times a plain `i128` product, which the
+/// exact sweeps would feel.
+#[inline]
+fn mul_i128(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(a as i128 * b as i128),
+        _ => a.checked_mul(b),
+    }
 }
 
 impl Rat {
@@ -188,6 +202,27 @@ impl Rat {
         }
     }
 
+    /// Exact checked multiplication: `None` iff the canonical form of the
+    /// exact product does not fit `i128`. Where [`Mul`] panics on such
+    /// products, this reports them; representable products are identical
+    /// on both paths.
+    #[inline]
+    pub fn checked_mul(self, rhs: Rat) -> Option<Rat> {
+        // Integer × integer stays canonical with no reduction at all.
+        if self.den == 1 && rhs.den == 1 {
+            return mul_i128(self.num, rhs.num).map(|num| Rat { num, den: 1 });
+        }
+        // Cross-reducing first leaves the product in lowest terms, so the
+        // two checked multiplications fail only when the canonical form
+        // itself is out of range (denominators are positive: no gcd is 0).
+        let g1 = gcd(self.num, rhs.den);
+        let g2 = gcd(rhs.num, self.den);
+        Some(Rat {
+            num: mul_i128(self.num / g1, rhs.num / g2)?,
+            den: mul_i128(self.den / g2, rhs.den / g1)?,
+        })
+    }
+
     /// Raises to a non-negative integer power by repeated squaring.
     pub fn pow(self, mut exp: u32) -> Rat {
         let mut base = self;
@@ -248,24 +283,21 @@ impl Sub for Rat {
 
 impl Mul for Rat {
     type Output = Rat;
+    #[inline]
     fn mul(self, rhs: Rat) -> Rat {
-        // Integer × integer stays canonical with no reduction at all.
-        if self.den == 1 && rhs.den == 1 {
-            return Rat {
-                num: self.num * rhs.num,
-                den: 1,
-            };
-        }
-        // Cross-reduce before multiplying to keep intermediates small.
-        let g1 = gcd(self.num, rhs.den);
-        let g2 = gcd(rhs.num, self.den);
-        let g1 = if g1 == 0 { 1 } else { g1 };
-        let g2 = if g2 == 0 { 1 } else { g2 };
-        Rat {
-            num: (self.num / g1) * (rhs.num / g2),
-            den: (self.den / g2) * (rhs.den / g1),
+        match self.checked_mul(rhs) {
+            Some(product) => product,
+            None => mul_overflow(self, rhs),
         }
     }
+}
+
+/// Out of line, so the multiplication itself stays small enough to inline
+/// into the exact kernels' loops.
+#[cold]
+#[inline(never)]
+fn mul_overflow(a: Rat, b: Rat) -> ! {
+    panic!("Rat overflow: {a:?} * {b:?} is not representable in i128")
 }
 
 impl Div for Rat {
@@ -552,6 +584,23 @@ mod wide {
         })
     }
 
+    /// Reference for [`Rat::checked_mul`]: multiply numerators and
+    /// denominators unreduced in 256 bits, reduce afterwards — no
+    /// cross-reduction, so nothing shared with the implementation.
+    #[cfg(test)]
+    pub(super) fn mul_exact(a: Rat, b: Rat) -> Option<Rat> {
+        let num = I256::mul_i128(a.num, b.num);
+        if num.mag.is_zero() {
+            return Some(Rat::ZERO);
+        }
+        let den = U256::mul_u128(a.den.unsigned_abs(), b.den.unsigned_abs());
+        let reduce = gcd_u256(num.mag, den);
+        Some(Rat {
+            num: mag_to_i128(num.mag.div(reduce), num.neg)?,
+            den: mag_to_i128(den.div(reduce), false)?,
+        })
+    }
+
     /// `sign(a·d) cmp sign(c·b)` with 256-bit products (`d, b > 0`).
     pub(super) fn cmp_cross(a: i128, d: i128, c: i128, b: i128) -> Ordering {
         let lhs = I256::mul_i128(a, d);
@@ -630,7 +679,10 @@ impl FromStr for Rat {
                 .and_then(|v| v.checked_add((c as u8 - b'0') as i128))
                 .ok_or_else(err)?;
         }
-        Ok(Rat::new(sign * (int_val * den + frac_val), den))
+        let num = mul_i128(int_val, den)
+            .and_then(|v| v.checked_add(frac_val))
+            .ok_or_else(err)?;
+        Ok(Rat::new(sign * num, den))
     }
 }
 
@@ -739,6 +791,10 @@ mod tests {
         for s in ["", ".", "1.2.3", "a", "1/0", "--2", "1e5"] {
             assert!(Rat::parse(s).is_err(), "should reject {s:?}");
         }
+        // 38 integer digits fit i128, but not once scaled by the fraction's
+        // power of ten (release builds used to wrap this to garbage)
+        assert!(Rat::parse("99999999999999999999999999999999999999").is_ok());
+        assert!(Rat::parse("99999999999999999999999999999999999999.5").is_err());
     }
 
     #[test]
@@ -923,6 +979,38 @@ mod tests {
             }
         }
 
+        /// Components of 2^60 … 2^126: about half of the products leave
+        /// `i128`, the rest land close under its edge.
+        fn wide_component() -> impl Strategy<Value = i128> {
+            (60u32..127, -4i64..5, 0u8..2).prop_map(|(k, d, neg)| {
+                let v = (1i128 << k) + d as i128;
+                if neg == 1 {
+                    -v
+                } else {
+                    v
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn checked_mul_matches_the_256_bit_reference(
+                a in (wide_component(), prop_oneof![Just(1i128), 1i128..9, wide_component()]),
+                b in (wide_component(), prop_oneof![Just(1i128), 1i128..9, wide_component()]),
+            ) {
+                let a = Rat::new(a.0, a.1.abs());
+                let b = Rat::new(b.0, b.1.abs());
+                let want = wide::mul_exact(a, b);
+                prop_assert_eq!(a.checked_mul(b), want);
+                if let Some(p) = want {
+                    prop_assert!(canonical(p));
+                    prop_assert_eq!(a * b, p);
+                }
+            }
+        }
+
         /// Components hugging the `±i64` guard from **both** sides: the
         /// largest magnitudes the gcd-skipping fast path accepts and the
         /// smallest it must route to the normalizing slow path. Any
@@ -994,6 +1082,52 @@ mod tests {
         let diff = a - b;
         assert!(canonical(diff));
         assert_eq!(diff + b, a);
+    }
+
+    /// Products at the edge of `i128`: representable ones come out exact
+    /// and canonical, unrepresentable ones are reported (release builds
+    /// used to wrap them: `i128::MAX · i128::MAX` read 1).
+    #[test]
+    fn checked_mul_boundaries_match_the_256_bit_reference() {
+        let max = Rat::new(i128::MAX, 1);
+        let cases = [
+            (max, max),
+            (max, Rat::int(-1)),
+            (max, Rat::int(2)),
+            (Rat::new(1 << 64, 1), Rat::new(1 << 62, 1)),
+            (Rat::new(1 << 64, 1), Rat::new(1 << 63, 1)),
+            // −2^127 is i128::MIN: the one product of this magnitude that fits
+            (Rat::new(-(1 << 64), 1), Rat::new(1 << 63, 1)),
+            (Rat::new(i128::MAX, 3), Rat::new(3, i128::MAX)),
+            (Rat::new(i128::MAX, 3), Rat::new(6, 5)),
+            (Rat::new(1 << 100, 3), Rat::new(9, 1 << 90)),
+            (Rat::new(1, 1 << 64), Rat::new(1, 1 << 64)),
+            (Rat::new(1, 1 << 64), Rat::new(1 << 64, 3)),
+            (Rat::ZERO, max),
+        ];
+        let mut unrepresentable = 0;
+        for (a, b) in cases {
+            let want = wide::mul_exact(a, b);
+            assert_eq!(a.checked_mul(b), want, "{a:?} * {b:?}");
+            assert_eq!(b.checked_mul(a), want, "{b:?} * {a:?}");
+            match want {
+                Some(p) => {
+                    assert!(canonical(p) || p.num == i128::MIN, "{p:?}");
+                    assert_eq!(a * b, p);
+                }
+                None => unrepresentable += 1,
+            }
+        }
+        assert_eq!(unrepresentable, 5);
+        assert_eq!(max.checked_mul(max), None);
+        assert_eq!(Rat::new(i128::MAX, 3) * Rat::new(3, i128::MAX), Rat::ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat overflow: Rat(170141183460469231731687303715884105727) * ")]
+    fn unrepresentable_product_panics_with_the_overflow_prefix() {
+        let max = Rat::new(i128::MAX, 1);
+        let _ = max * max;
     }
 
     /// Components beyond the i64 guard must fall through to the reducing

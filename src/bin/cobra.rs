@@ -299,6 +299,30 @@ mod tests {
         .is_err());
     }
 
+    /// The byte `compress` names in a polynomial file is the byte at
+    /// fault, in any line and with either line end.
+    #[test]
+    fn compress_reports_parse_errors_at_their_offset_in_the_file() {
+        for (name, text) in [
+            ("lf", "P1 = 2*x + 3*y\nLONGLABEL =    4*x + $\n"),
+            ("crlf", "P1 = 2*x + 3*y\r\nLONGLABEL =  4*x + $\r\n"),
+        ] {
+            let path = std::env::temp_dir().join(format!(
+                "cobra-cli-offsets-{name}-{}.txt",
+                std::process::id()
+            ));
+            std::fs::write(&path, text).unwrap();
+            let polys = path.to_str().unwrap();
+            let err = run(&s(&[
+                "compress", "--polys", polys, "--tree", "T(x,y)", "--bound", "2",
+            ]))
+            .unwrap_err();
+            std::fs::remove_file(&path).ok();
+            let at = format!("parse error at byte {}:", text.find('$').unwrap());
+            assert!(err.contains(&at) && err.contains("'$'"), "{err}");
+        }
+    }
+
     #[test]
     fn parses_serve_flags() {
         let config = parse_serve_args(&s(&["--addr", "0.0.0.0:7070", "--store", "/tmp/x"])).unwrap();

@@ -637,6 +637,99 @@ fn dag_armed_sessions_answer_identically_and_report_stats() {
     server.shutdown();
 }
 
+/// Text from the network that used to end the whole process (a stack
+/// overflow on the connection or worker thread: `(((…`, `---…`, `[[[…`),
+/// drop the connection (a panic inside `Rat::add`), or be accepted with a
+/// wrapped coefficient or exponent (release builds). Each is now a
+/// `bad_request` naming the byte, and the same server — same connection
+/// — answers the next request.
+#[test]
+fn hostile_text_is_a_bad_request_and_the_server_keeps_answering() {
+    let server = serve(ServerConfig::default()).unwrap();
+    let mut c = connect(server.addr());
+    assert_ok(&prepare(&mut c, "live", false));
+    let stats = r#"{"op":"stats","session":"live"}"#;
+
+    let max = i128::MAX.to_string();
+    // 100 KB of nesting, not the 1 MB of the parsers' own tests: the JSON
+    // string scan in front of the polynomial parser is still quadratic
+    // (ROADMAP, "Fix the serving path"), and 100,000 levels were already
+    // far more than a 2 MiB thread stack held.
+    let hostile = [
+        ("(".repeat(100_000), 256),
+        ("-".repeat(100_000), 100_000),
+        (format!("{max}*{max}*p1"), 40),
+        ("p1^4294967295 * p1^4294967295".to_owned(), 16),
+        (format!("{max}*p1 + {max}*p1"), 45),
+    ];
+    for (text, offset) in &hostile {
+        // as the polynomials of a new session, parsed on the connection
+        // thread (the text starts 4 bytes in, after "P = ") …
+        let body = Json::Obj(vec![
+            ("op".into(), Json::Str("prepare".into())),
+            ("session".into(), Json::Str("hostile".into())),
+            ("polys".into(), Json::Str(format!("P = {text}"))),
+            ("tree".into(), Json::Str(TREE.into())),
+        ]);
+        let reply = request(&mut c, &body.to_string());
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        let at = format!("parse error at byte {}:", offset + 4);
+        assert!(
+            error.contains(&at),
+            "{at} not in {:?}",
+            &error[..error.len().min(200)]
+        );
+        assert_ok(&request(&mut c, stats));
+
+        // … and as a delta term, parsed by the session's worker thread
+        let body = Json::Obj(vec![
+            ("op".into(), Json::Str("apply_delta".into())),
+            ("session".into(), Json::Str("live".into())),
+            (
+                "ops".into(),
+                Json::Arr(vec![Json::Obj(vec![
+                    ("poly".into(), Json::Str("P1".into())),
+                    ("action".into(), Json::Str("set".into())),
+                    ("term".into(), Json::Str(text.clone())),
+                ])]),
+            ),
+        ]);
+        let reply = request(&mut c, &body.to_string());
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&format!("parse error at byte {offset}:")));
+        assert_ok(&request(&mut c, stats));
+    }
+
+    // JSON nesting is capped too (array → value → array recursed once
+    // per `[`).
+    let reply = request(&mut c, &"[".repeat(100_000));
+    assert_eq!(
+        reply.get("kind").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("nesting deeper than 128"), "{error}");
+    assert_ok(&request(&mut c, stats));
+
+    // Nothing hostile was installed, and the live session is unharmed.
+    let reply = request(&mut c, r#"{"op":"stats","session":"hostile"}"#);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert_ok(&select_bound(&mut c, "live", 2));
+    assert_ok(&request(
+        &mut c,
+        r#"{"op":"assign","session":"live","scenario":{"m3":"0.8"}}"#,
+    ));
+    server.shutdown();
+}
+
 #[test]
 fn malformed_frames_get_typed_errors_without_killing_the_connection() {
     let server = serve(ServerConfig::default()).unwrap();

@@ -192,3 +192,37 @@ fn worker_panic_is_a_typed_error_and_session_survives() {
         assert_eq!(count, grid.len());
     });
 }
+
+/// An exact *product* that leaves `i128` — no sum is involved: the one
+/// term `2^100·a·m` at `a = 2^100`. `Rat`'s multiplication used to wrap
+/// it silently in release builds (the "exact" engines answered with a
+/// wrong value) and to panic with a message the session does not remap in
+/// debug builds; it is the same typed, survivable error as an overflowing
+/// sum on every surface that runs exact arithmetic.
+#[test]
+fn exact_product_overflow_is_typed_and_survivable() {
+    const TWO_POW_100: &str = "1267650600228229401496703205376";
+    let mut s = CobraSession::from_text(&format!("P = {TWO_POW_100}*a*m + b*m")).unwrap();
+    s.add_tree_text("T(a,b)").unwrap();
+    s.set_bound(2);
+    s.compress().unwrap();
+    let a = s.registry().lookup("a").unwrap();
+    let big = Valuation::with_default(Rat::ONE).bind(a, Rat::parse(TWO_POW_100).unwrap());
+    let grid = ScenarioSet::from(vec![big.clone()]);
+    let unlimited = SweepBudget::unlimited();
+
+    assert!(matches!(s.assign(&big), Err(CoreError::ExactOverflow(_))));
+    assert!(matches!(
+        s.fold::<Exact, _>(&grid, &unlimited, (), |(), _| ()),
+        Err(CoreError::ExactOverflow(_))
+    ));
+    // the approximate precision runs the same products in its exact probes
+    assert!(matches!(
+        s.fold::<Approx, _>(&grid, &unlimited, (), |(), _| ()),
+        Err(CoreError::ExactOverflow(_))
+    ));
+    // the session still answers, exactly
+    let half = Valuation::with_default(Rat::ONE).bind(a, Rat::new(1, 2));
+    let cmp = s.assign(&half).unwrap();
+    assert_eq!(cmp.rows[0].full, Rat::new(1i128 << 99, 1) + Rat::ONE);
+}
