@@ -18,8 +18,8 @@
 
 use cobra_bench::{scale_bound, telephony_workload, PAPER_BOUNDS, PAPER_FULL_SIZE};
 use cobra_core::{
-    apply_cut, dp, enumerate_cuts, optimize_forest_descent, pareto_frontier, CobraSession, Cut,
-    GroupAnalysis,
+    apply_cut, enumerate_cuts, optimize_forest_descent, CobraSession, Cut, CutPlanner, ExactDp,
+    Greedy, GroupAnalysis, PlanContext,
 };
 use cobra_datagen::scenarios;
 use cobra_datagen::synthetic::{generate as synth, SyntheticConfig};
@@ -179,7 +179,7 @@ fn e3_section4_sizes(customers: usize) {
         } else {
             scale_bound(bound, w.config.zips)
         };
-        match dp::optimize(&w.tree, &analysis, scaled) {
+        match ExactDp.plan(&PlanContext::new(&w.tree, &analysis), scaled) {
             Ok(sol) => {
                 table.row([
                     thousands(scaled),
@@ -242,7 +242,7 @@ fn e4_section4_speedups(customers: usize) {
         } else {
             scale_bound(bound, w.config.zips)
         };
-        let sol = match dp::optimize(&w.tree, &analysis, scaled) {
+        let sol = match ExactDp.plan(&PlanContext::new(&w.tree, &analysis), scaled) {
             Ok(s) => s,
             Err(e) => {
                 println!("bound {scaled}: {e}");
@@ -283,7 +283,8 @@ fn e5_bound_sweep() {
     println!("## E5 — effect of the bound (Pareto frontier, 100k customers)\n");
     let mut w = telephony_workload(100_000);
     let analysis = GroupAnalysis::analyze(&w.polys, &w.tree).expect("telephony");
-    let frontier = pareto_frontier(&w.tree, &analysis);
+    let ctx = PlanContext::new(&w.tree, &analysis);
+    let frontier = ExactDp.frontier_sizes(&ctx);
     let full64 = w.polys.to_f64_set();
     let scenario = scenarios::march_discount()
         .valuation(&mut w.reg)
@@ -301,7 +302,8 @@ fn e5_bound_sweep() {
     ])
     .numeric();
     for point in &frontier {
-        let sol = dp::optimize_for_cardinality(&w.tree, &analysis, point.variables)
+        let sol = ExactDp
+            .plan_cardinality(&ctx, point.variables)
             .expect("frontier point");
         let applied = apply_cut(&w.polys, &w.tree, &sol.cut, &mut w.reg);
         let comp64 = applied.compressed.to_f64_set();
@@ -472,7 +474,7 @@ fn e8_under_the_hood() {
         ]);
     }
     println!("{}", table.to_markdown());
-    let frontier = pareto_frontier(&tree, &analysis);
+    let frontier = ExactDp.frontier_sizes(&PlanContext::new(&tree, &analysis));
     let points: Vec<String> = frontier
         .iter()
         .map(|p| format!("({} vars → {})", p.variables, p.size))
@@ -505,8 +507,9 @@ fn a1_optimizer_ablation() {
         let analysis =
             GroupAnalysis::analyze(&synthetic.set, &synthetic.tree).expect("synthetic");
         let bound = analysis.total_monomials() / 2;
-        let (dp_sol, dp_time) =
-            time_best_of(1, 5, || dp::optimize(&synthetic.tree, &analysis, bound));
+        let (dp_sol, dp_time) = time_best_of(1, 5, || {
+            ExactDp.plan(&PlanContext::new(&synthetic.tree, &analysis), bound)
+        });
         let cuts = enumerate_cuts(&synthetic.tree, 1_000_000).expect("enumerable");
         let ((), brute_time) = time_best_of(1, 3, || {
             let mut best: Option<(usize, u64)> = None;
@@ -527,7 +530,8 @@ fn a1_optimizer_ablation() {
             .filter(|&(_, s)| s <= bound)
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         let dp_sol = dp_sol.expect("feasible");
-        let greedy = cobra_core::optimize_greedy(&synthetic.tree, &analysis, bound)
+        let greedy = Greedy
+            .plan(&PlanContext::new(&synthetic.tree, &analysis), bound)
             .expect("feasible when DP is");
         table.row([
             leaves.to_string(),
@@ -560,7 +564,9 @@ fn a1_optimizer_ablation() {
         let analysis =
             GroupAnalysis::analyze(&synthetic.set, &synthetic.tree).expect("synthetic");
         let bound = analysis.total_monomials() / 2;
-        let (_, t) = time_best_of(1, 5, || dp::optimize(&synthetic.tree, &analysis, bound));
+        let (_, t) = time_best_of(1, 5, || {
+            ExactDp.plan(&PlanContext::new(&synthetic.tree, &analysis), bound)
+        });
         scaling.row([
             leaves.to_string(),
             analysis.num_groups().to_string(),
@@ -669,7 +675,7 @@ fn a3_multi_tree() {
     .numeric();
     for divisor in [2u64, 4, 12, 24] {
         let bound = full / divisor;
-        let single = dp::optimize(&w.tree, &analysis, bound)
+        let single = ExactDp.plan(&PlanContext::new(&w.tree, &analysis), bound)
             .map(|s| format!("{} / {}", thousands(s.size), s.variables))
             .unwrap_or_else(|e| format!("{e}"));
         let forest = optimize_forest_descent(

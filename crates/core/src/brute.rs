@@ -1,4 +1,4 @@
-//! Brute-force optimizer — the test oracle for [`crate::dp`].
+//! Brute-force optimizer — the test oracle for [`ExactDp`](crate::planner::ExactDp).
 //!
 //! Enumerates every cut (or every combination of cuts for a forest),
 //! measures the true compressed size by actually applying the abstraction,

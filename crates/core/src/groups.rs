@@ -15,7 +15,7 @@
 //! ```
 //!
 //! where `base` counts monomials without tree variables. This module
-//! computes the groups and the node weights `w(v)`; [`crate::dp`] runs the
+//! computes the groups and the node weights `w(v)`; [`ExactDp`](crate::planner::ExactDp) runs the
 //! knapsack over them.
 //!
 //! The additive formula counts one monomial per `(group, cut node)` pair;

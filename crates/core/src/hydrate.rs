@@ -40,19 +40,20 @@
 use crate::cut::Cut;
 use crate::error::{CoreError, Result};
 use crate::planner::{CutFrontier, FrontierPoint};
-use crate::session::{CobraSession, ForestFrontierState, FrontierState, WarmEngines};
+use crate::scenario::CompiledComparison;
+use crate::session::{CobraSession, CompCells, Plan, PlanKind, TreePlan};
 use crate::tree::AbstractionTree;
 use cobra_provenance::persist::{self, tags};
 use cobra_provenance::{
-    ArtifactReader, ArtifactWriter, BatchEvaluator, LoadedArtifact, Valuation, Var,
+    ArtifactReader, ArtifactWriter, BatchEvaluator, LoadedArtifact, PolySet, Valuation, Var,
     VarRegistry,
 };
-use cobra_util::{AlignedBytes, FxHashMap, FxHashSet, Rat};
+use cobra_util::{AlignedBytes, FxHashMap, Rat};
 use std::any::Any;
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-fn persist_err(e: persist::PersistError) -> CoreError {
+fn persist_err(e: impl std::fmt::Display) -> CoreError {
     CoreError::Session(format!("session artifact: {e}"))
 }
 
@@ -68,7 +69,8 @@ fn persist_err(e: persist::PersistError) -> CoreError {
 /// ([`CobraSession::compress_frontier`]). Forest staircases
 /// ([`CobraSession::compress_forest_frontier`]) are in-memory only.
 pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
-    if session.forest.is_some() {
+    let plan = session.plan.as_ref();
+    if plan.is_some_and(|p| p.tree().is_none()) {
         return Err(CoreError::Session(
             "forest sessions cannot be persisted (descent staircases are in-memory only)".into(),
         ));
@@ -84,16 +86,16 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
             "snapshot requires the tree's source text; register it via add_tree_text".into(),
         )
     })?;
-    let state = session.frontier.as_ref().ok_or_else(|| {
+    let state = plan.and_then(Plan::tree).ok_or_else(|| {
         CoreError::Session("snapshot requires a planned frontier; call compress_frontier".into())
     })?;
 
     // Self-contained snapshots: force the session-invariant engines.
-    let full_rat = session.full_engine();
-    let full_f64 = session.full_f64_engine();
+    let full_rat = session.full_engine_in(false);
+    let full_f64 = session.full_f64_in(false);
 
     // Deterministic warm-engine order (the map iterates arbitrarily).
-    let mut warm: Vec<(usize, &WarmEngines)> = state.warm.iter().map(|(&i, w)| (i, w)).collect();
+    let mut warm: Vec<(usize, &CompCells)> = state.warm.iter().map(|(&i, w)| (i, w)).collect();
     warm.sort_unstable_by_key(|&(i, _)| i);
 
     let mut w = ArtifactWriter::new();
@@ -151,9 +153,9 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
     // Warm engine directory: frontier index + whether an f64 shadow rides
     // along; the programs themselves go in per-engine sections.
     w.put_u32(warm.len() as u32);
-    for &(idx, engines) in &warm {
+    for &(idx, cells) in &warm {
         w.put_u32(idx as u32);
-        w.put_u32(u32::from(engines.f64.is_some()));
+        w.put_u32(u32::from(cells.f64.get().is_some()));
     }
 
     // v2: whether algebraic (DAG) compression was armed. The DAG programs
@@ -163,10 +165,11 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
 
     persist::write_program(&mut w, tags::PROGRAM_RAT, full_rat.program());
     persist::write_program(&mut w, tags::PROGRAM_F64, full_f64.program());
-    for (k, &(_, engines)) in warm.iter().enumerate() {
+    for (k, &(_, cells)) in warm.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
-        persist::write_program(&mut w, base, engines.rat.program());
-        if let Some(shadow) = &engines.f64 {
+        let engines = cells.engines.get().expect("warm points keep their engines");
+        persist::write_program(&mut w, base, engines.compressed.program());
+        if let Some(shadow) = cells.f64.get() {
             persist::write_program(&mut w, base + 1, shadow.program());
         }
     }
@@ -211,9 +214,7 @@ fn restore_from_reader(
         reg.var(s.get_str().map_err(persist_err)?);
     }
     if reg.len() != num_vars as usize {
-        return Err(CoreError::Session(
-            "session artifact: duplicate registry names".into(),
-        ));
+        return Err(persist_err("duplicate registry names"));
     }
 
     let tree_text = s.get_str().map_err(persist_err)?.to_owned();
@@ -231,9 +232,7 @@ fn restore_from_reader(
     for _ in 0..num_bindings {
         let var = Var(s.get_u32().map_err(persist_err)?);
         if var.index() >= reg.len() {
-            return Err(CoreError::Session(
-                "session artifact: valuation binds an unregistered variable".into(),
-            ));
+            return Err(persist_err("valuation binds an unregistered variable"));
         }
         let num = s.get_i128().map_err(persist_err)?;
         let den = s.get_i128().map_err(persist_err)?;
@@ -267,9 +266,7 @@ fn restore_from_reader(
     }
     let frontier = CutFrontier::from_points(points);
     if frontier.len() != num_points as usize {
-        return Err(CoreError::Session(
-            "session artifact: frontier points are not a Pareto staircase".into(),
-        ));
+        return Err(persist_err("frontier points are not a Pareto staircase"));
     }
 
     let num_warm = s.get_u32().map_err(persist_err)?;
@@ -278,8 +275,8 @@ fn restore_from_reader(
         let idx = s.get_u32().map_err(persist_err)? as usize;
         let has_f64 = s.get_u32().map_err(persist_err)? != 0;
         if idx >= frontier.len() {
-            return Err(CoreError::Session(
-                "session artifact: warm engine for an out-of-range frontier index".into(),
+            return Err(persist_err(
+                "warm engine for an out-of-range frontier index",
             ));
         }
         warm_dir.push((idx, has_f64));
@@ -302,74 +299,68 @@ fn restore_from_reader(
         Ok(BatchEvaluator::new(prog.to_program(owner.clone())))
     };
 
-    let full_rat_engine = load(tags::PROGRAM_RAT)?;
+    let full = persist::read_program_ref::<Rat>(reader, tags::PROGRAM_RAT).map_err(persist_err)?;
+    // The variables the terms mention: a delta-patched program keeps the
+    // locals whose last term was deleted, so its variable table can
+    // overcount the provenance's distinct variables.
+    let mut mentioned = vec![false; full.locals.len() + full.num_slots];
+    for &v in full.var_ids {
+        mentioned[v as usize] = true;
+    }
+    let original_vars = mentioned[..full.locals.len()]
+        .iter()
+        .filter(|&&m| m)
+        .count();
+    let full_rat_engine = BatchEvaluator::new(full.to_program(owner.clone()));
     let full_f64_engine = load_f64(tags::PROGRAM_F64)?;
     if node_weight.len() != tree.num_nodes() {
-        return Err(CoreError::Session(
-            "session artifact: node weights do not match the tree".into(),
-        ));
+        return Err(persist_err("node weights do not match the tree"));
     }
 
-    let mut warm: FxHashMap<usize, WarmEngines> = FxHashMap::default();
+    let mut warm: FxHashMap<usize, CompCells> = FxHashMap::default();
     for (k, &(idx, has_f64)) in warm_dir.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
-        let rat = load(base)?;
-        let f64_engine = if has_f64 { Some(load_f64(base + 1)?) } else { None };
-        warm.insert(
-            idx,
-            WarmEngines {
-                rat,
-                f64: f64_engine,
-            },
-        );
+        let engines = CompiledComparison::from_engines(full_rat_engine.clone(), load(base)?);
+        let cells = CompCells::default();
+        let _ = cells.engines.set(engines);
+        if has_f64 {
+            let _ = cells.f64.set(load_f64(base + 1)?);
+        }
+        warm.insert(idx, cells);
     }
 
     // Derivable from the persisted full program — never stored.
-    let reserved: FxHashSet<Var> = full_rat_engine.program().vars().iter().copied().collect();
-    let original_vars = reserved.len();
+    let plan = TreePlan {
+        // Re-analyzed only if a cold selection materializes polynomials.
+        analysis: OnceCell::new(),
+        node_weight,
+        frontier,
+        reserved: full_rat_engine.program().vars().iter().copied().collect(),
+        invariant_vars,
+        // DP tables are not persisted: the first structural delta on a
+        // re-hydrated session replans from scratch (and snapshots).
+        plan_snapshot: None,
+        reg_len_at_plan: reg.len(),
+        subs: FxHashMap::default(),
+        warm,
+    };
     let original_size = full_rat_engine.program().num_terms() as u64;
-
-    let full_rat = OnceCell::new();
-    let _ = full_rat.set(full_rat_engine);
-    let full_f64 = OnceCell::new();
-    let _ = full_f64.set(full_f64_engine);
-
-    let reg_len_at_plan = reg.len();
-    Ok(CobraSession {
-        reg,
-        // Left empty: decompiled from the full engine on first need.
-        polys: OnceCell::new(),
-        base_valuation,
-        trees: vec![tree],
-        tree_texts: vec![Some(tree_text)],
-        bound: None,
-        delta_churn: 0,
-        full_rat,
-        full_f64,
-        compressed: None,
-        frontier: Some(FrontierState {
-            analysis: OnceCell::new(),
-            node_weight,
-            frontier,
-            original_vars,
-            original_size,
-            reserved,
-            invariant_vars,
-            // DP tables are not persisted: the first structural delta on a
-            // re-hydrated session replans from scratch (and snapshots).
-            plan_snapshot: None,
-            reg_len_at_plan,
-            selected: None,
-            subs: FxHashMap::default(),
-            warm,
-        }),
-        forest: None::<ForestFrontierState>,
-        dag_mode,
-        dag_full_rat: OnceCell::new(),
-        dag_full_f64: OnceCell::new(),
-        trace: Vec::new(),
-        trace_enabled: false,
-    })
+    let mut session = CobraSession::new(reg, PolySet::new());
+    // No polynomials: decompiled from the full engine on first need.
+    session.polys = OnceCell::new();
+    session.base_valuation = base_valuation;
+    session.trees.push(tree);
+    session.tree_texts.push(Some(tree_text));
+    session.full.flat.rat = full_rat_engine.into();
+    session.full.flat.f64 = full_f64_engine.into();
+    session.plan = Some(Plan {
+        original_vars,
+        original_size,
+        selected: None,
+        kind: PlanKind::Tree(Box::new(plan)),
+    });
+    session.dag_mode = dag_mode;
+    Ok(session)
 }
 
 #[cfg(test)]

@@ -21,10 +21,9 @@
 //! * [`planner`] — the **unified compression planner**: one
 //!   [`CutPlanner`] interface (`plan` one bound, `plan_frontier` the whole
 //!   Pareto curve) over a shared [`PlanContext`] of memoized cut
-//!   statistics, implemented by [`ExactDp`] and [`Greedy`].
-//! * [`dp`] — the exact PTIME optimizer: bottom-up tree-knapsack dynamic
-//!   programming, plus the expressiveness/size Pareto frontier (thin
-//!   wrappers over the planner).
+//!   statistics, implemented by [`ExactDp`] (the exact PTIME optimizer:
+//!   bottom-up tree-knapsack dynamic programming) and [`Greedy`] (the
+//!   agglomerative baseline).
 //! * [`apply`] — applying a cut: variable renaming + monomial merging,
 //!   plus the group-statistics fast path ([`apply::apply_cut_with_groups`])
 //!   the frontier re-selection rides.
@@ -103,10 +102,8 @@ pub mod assign;
 pub mod brute;
 pub mod budget;
 pub mod cut;
-pub mod dp;
 pub mod error;
 pub mod folds;
-pub mod greedy;
 pub mod groups;
 pub mod hydrate;
 pub mod multi;
@@ -122,16 +119,14 @@ pub use apply::{apply_cut, apply_cuts, AppliedAbstraction};
 pub use assign::{ResultComparison, ResultRow, SpeedupMeasurement};
 pub use budget::{StopReason, SweepBudget, SweepOutcome};
 pub use cut::{enumerate_cuts, Cut, MetaVar};
-pub use dp::{optimize, pareto_frontier, DpSolution, ParetoPoint};
 pub use error::{CoreError, Result};
-pub use greedy::optimize_greedy;
 pub use groups::GroupAnalysis;
 pub use cobra_provenance::{
     DagOptions, DagStats, DeltaAction, DeltaError, DeltaOp, DeltaReport, PolyDelta,
 };
 pub use planner::{
-    CutFrontier, CutPlanner, ExactDp, FrontierPoint, Greedy, NodeStats, PlanContext, PlanSnapshot,
-    PlannedCut,
+    CutFrontier, CutPlanner, ExactDp, FrontierPoint, Greedy, NodeStats, ParetoPoint, PlanContext,
+    PlanSnapshot, PlannedCut,
 };
 pub use folds::{MergeFold, SweepFold};
 pub use scenario::{

@@ -12,7 +12,7 @@
 //! ([`crate::brute::optimize_forest`]) serves as the oracle on small
 //! instances.
 
-use crate::apply::{apply_cut, apply_cuts, AppliedAbstraction};
+use crate::apply::{apply_cuts, AppliedAbstraction};
 use crate::cut::Cut;
 use crate::error::{CoreError, Result};
 use crate::groups::GroupAnalysis;
@@ -220,29 +220,6 @@ pub fn plan_forest_frontier<C: Coeff>(
     Ok(ForestFrontier { points })
 }
 
-/// Convenience wrapper for the single-tree case: the exact planner plus a
-/// real application, returning the same shape as the forest optimizer.
-pub fn optimize_single_tree<C: Coeff>(
-    set: &PolySet<C>,
-    tree: &AbstractionTree,
-    bound: u64,
-    reg: &mut VarRegistry,
-) -> Result<(ForestSolution, crate::apply::AppliedAbstraction<C>)> {
-    let analysis = GroupAnalysis::analyze(set, tree)?;
-    let sol = ExactDp.plan(&PlanContext::new(tree, &analysis), bound)?;
-    let applied = apply_cut(set, tree, &sol.cut, reg);
-    debug_assert_eq!(applied.compressed_size as u64, sol.size);
-    Ok((
-        ForestSolution {
-            cuts: vec![sol.cut],
-            variables: sol.variables,
-            size: sol.size,
-            rounds: 1,
-        },
-        applied,
-    ))
-}
-
 /// Batched full-vs-compressed sweep for a forest application: multi-tree
 /// sessions run their scenario exploration through the same compiled
 /// engine as single-tree ones (meta-variables from every tree project at
@@ -264,7 +241,6 @@ pub fn forest_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp;
     use crate::tree::paper_plans_tree;
     use cobra_provenance::parse_polyset;
     use cobra_util::Rat;
@@ -287,7 +263,7 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             let sol =
                 optimize_forest_descent(&set, &[&tree], bound, &mut reg, 10).unwrap();
             let analysis = GroupAnalysis::analyze(&set, &tree).unwrap();
-            let exact = dp::optimize(&tree, &analysis, bound).unwrap();
+            let exact = ExactDp.plan(&PlanContext::new(&tree, &analysis), bound).unwrap();
             assert_eq!(sol.variables, exact.variables, "bound {bound}");
             assert_eq!(sol.size, exact.size, "bound {bound}");
         }

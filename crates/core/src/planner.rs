@@ -410,6 +410,20 @@ pub trait CutPlanner {
 /// (paper §2). Optimal for every bound; `plan_frontier` reads the entire
 /// curve out of one table build, with cut reconstruction fanned across
 /// workers.
+///
+/// Because the compressed size decomposes as `base + Σ_{v∈cut} w(v)`
+/// ([`crate::groups`]), the problem is a **tree knapsack**: for every node
+/// `v` and cut cardinality `k`,
+///
+/// ```text
+/// f_v(k) = min { Σ_{u∈cut} w(u) : cut of subtree(v), |cut| = k }
+/// ```
+///
+/// A leaf has `f(1) = w`; an inner node either cuts at itself (`k = 1`,
+/// cost `w(v)`) or combines its children's cuts by knapsack convolution.
+/// The optimum for bound `B` is the largest `k` with
+/// `f_root(k) ≤ B − base`, recovered through backpointers, in `O(L²)`
+/// total work over `L` leaves — the PTIME bound the paper claims.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactDp;
 
@@ -434,8 +448,7 @@ impl ExactDp {
     /// The raw per-cardinality curve (no cut reconstruction, dominated
     /// points included): for every attainable `k`, the minimal size —
     /// cheaper than [`plan_frontier`](CutPlanner::plan_frontier) when
-    /// only the shape of the trade-off is needed, and the historical
-    /// content of [`crate::dp::pareto_frontier`].
+    /// only the shape of the trade-off is needed.
     pub fn frontier_sizes(&self, ctx: &PlanContext<'_>) -> Vec<ParetoPoint> {
         let tables = ctx.tables();
         let root = &tables[ctx.tree.root().index()];
@@ -454,6 +467,23 @@ impl CutPlanner for ExactDp {
         "exact-dp"
     }
 
+    /// Maximal-cardinality cut whose compressed size is ≤ `bound`; ties
+    /// broken by smaller size.
+    ///
+    /// ```
+    /// use cobra_core::planner::{CutPlanner, ExactDp, PlanContext};
+    /// use cobra_core::{groups::GroupAnalysis, tree::AbstractionTree};
+    /// use cobra_provenance::{parse_polyset, VarRegistry};
+    ///
+    /// let mut reg = VarRegistry::new();
+    /// let tree = AbstractionTree::parse("T(A(a1,a2), B(b1,b2))", &mut reg).unwrap();
+    /// let set = parse_polyset("P = 1*c*a1 + 2*c*a2 + 3*c*b1 + 4*c*b2", &mut reg).unwrap();
+    /// let analysis = GroupAnalysis::analyze(&set, &tree).unwrap();
+    /// // bound 3 forces one merge; the optimizer keeps three variables
+    /// let sol = ExactDp.plan(&PlanContext::new(&tree, &analysis), 3).unwrap();
+    /// assert_eq!(sol.variables, 3);
+    /// assert_eq!(sol.size, 3);
+    /// ```
     fn plan(&self, ctx: &PlanContext<'_>, bound: u64) -> Result<PlannedCut> {
         let tables = ctx.tables();
         let root = &tables[ctx.tree.root().index()];
@@ -1033,6 +1063,154 @@ P2 = 77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3
             assert_eq!(plan.variables, point.variables, "bound {bound}");
             assert_eq!(plan.size, point.size, "bound {bound}");
         }
+    }
+
+    #[test]
+    fn unconstrained_bound_returns_leaf_cut() {
+        let (_, tree, a) = paper_setup();
+        let sol = ExactDp.plan(&PlanContext::new(&tree, &a), 10_000).unwrap();
+        assert_eq!(sol.variables, 11);
+        assert_eq!(sol.size, 14); // no compression needed
+    }
+
+    #[test]
+    fn tight_bound_returns_root_cut() {
+        let (_, tree, a) = paper_setup();
+        let sol = ExactDp.plan(&PlanContext::new(&tree, &a), 4).unwrap();
+        assert_eq!(sol.variables, 1);
+        assert_eq!(sol.size, 4);
+        assert_eq!(sol.cut.nodes(), &[tree.root()]);
+    }
+
+    #[test]
+    fn infeasible_bound_reports_minimum() {
+        let (_, tree, a) = paper_setup();
+        match ExactDp.plan(&PlanContext::new(&tree, &a), 3) {
+            Err(CoreError::InfeasibleBound { min_achievable }) => {
+                assert_eq!(min_achievable, 4)
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn intermediate_bounds_maximize_variables() {
+        let (_, tree, a) = paper_setup();
+        let ctx = PlanContext::new(&tree, &a);
+        // The paper's S1 = {Business, Special, Standard} reaches size 6
+        // with 3 variables, but the optimizer does better: p2 occurs in no
+        // polynomial, so {p1, p2, Special, Business} also has size 6 with
+        // 4 variables (free leaves cost nothing).
+        let sol6 = ExactDp.plan(&ctx, 6).unwrap();
+        assert_eq!(sol6.variables, 4);
+        assert_eq!(sol6.size, 6);
+        // At bound 5 neither k=3 nor k=4 fits (both cost 6) and k=2 is
+        // unattainable on Fig. 2, so the root cut wins.
+        let sol5 = ExactDp.plan(&ctx, 5).unwrap();
+        assert_eq!(sol5.variables, 1);
+        assert_eq!(sol5.size, 4);
+    }
+
+    #[test]
+    fn pareto_frontier_is_monotone_and_complete() {
+        let (_, tree, a) = paper_setup();
+        let frontier = ExactDp.frontier_sizes(&PlanContext::new(&tree, &a));
+        assert!(!frontier.is_empty());
+        assert_eq!(frontier.first().unwrap().variables, 1);
+        assert_eq!(frontier.first().unwrap().size, 4);
+        assert_eq!(frontier.last().unwrap().variables, 11);
+        assert_eq!(frontier.last().unwrap().size, 14);
+        for w in frontier.windows(2) {
+            assert!(w[0].variables < w[1].variables);
+            assert!(w[0].size <= w[1].size, "size must be monotone in k");
+        }
+    }
+
+    #[test]
+    fn solution_size_matches_group_formula_and_cut_is_valid() {
+        let (_, tree, a) = paper_setup();
+        let ctx = PlanContext::new(&tree, &a);
+        for bound in [4, 5, 6, 8, 10, 12, 14] {
+            let sol = ExactDp.plan(&ctx, bound).unwrap();
+            assert_eq!(
+                sol.size,
+                a.compressed_size(sol.cut.nodes()),
+                "bound {bound}"
+            );
+            assert!(sol.size <= bound);
+            assert_eq!(sol.cut.len(), sol.variables);
+        }
+    }
+
+    #[test]
+    fn optimize_for_cardinality_pins_k() {
+        let (_, tree, a) = paper_setup();
+        let ctx = PlanContext::new(&tree, &a);
+        let sol = ExactDp.plan_cardinality(&ctx, 3).unwrap();
+        assert_eq!(sol.variables, 3);
+        assert_eq!(sol.size, 6);
+        // k=2 is NOT attainable on Fig. 2 (root has 3 children)
+        assert!(ExactDp.plan_cardinality(&ctx, 2).is_none());
+        assert!(ExactDp.plan_cardinality(&ctx, 0).is_none());
+        assert!(ExactDp.plan_cardinality(&ctx, 12).is_none());
+    }
+
+    #[test]
+    fn dp_matches_brute_force_on_paper_input() {
+        let (_, tree, a) = paper_setup();
+        let ctx = PlanContext::new(&tree, &a);
+        let cuts = crate::cut::enumerate_cuts(&tree, 1_000).unwrap();
+        for bound in 4..=14u64 {
+            let dp = ExactDp.plan(&ctx, bound).unwrap();
+            // brute force: max k with size ≤ bound, tie → min size
+            let best = cuts
+                .iter()
+                .map(|c| (c.len(), a.compressed_size(c.nodes())))
+                .filter(|&(_, size)| size <= bound)
+                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+                .unwrap();
+            assert_eq!(dp.variables, best.0, "bound {bound}");
+            assert_eq!(dp.size, best.1, "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn greedy_is_feasible_and_never_beats_dp() {
+        let (_, tree, analysis) = paper_setup();
+        let ctx = PlanContext::new(&tree, &analysis);
+        for bound in 4..=14u64 {
+            let greedy = Greedy.plan(&ctx, bound).unwrap();
+            let exact = ExactDp.plan(&ctx, bound).unwrap();
+            assert!(greedy.size <= bound, "bound {bound}");
+            assert!(
+                greedy.variables <= exact.variables,
+                "greedy cannot exceed the optimum (bound {bound})"
+            );
+            assert_eq!(
+                analysis.compressed_size(greedy.cut.nodes()),
+                greedy.size,
+                "bound {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn unconstrained_greedy_keeps_leaves() {
+        let (_, tree, analysis) = paper_setup();
+        let sol = Greedy
+            .plan(&PlanContext::new(&tree, &analysis), 1_000)
+            .unwrap();
+        assert_eq!(sol.variables, tree.num_leaves());
+        assert_eq!(sol.size, 14);
+    }
+
+    #[test]
+    fn infeasible_bound_detected() {
+        let (_, tree, analysis) = paper_setup();
+        assert!(matches!(
+            Greedy.plan(&PlanContext::new(&tree, &analysis), 3),
+            Err(CoreError::InfeasibleBound { min_achievable: 4 })
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example explorer [customers]`
 //! (default 20,000).
 
-use cobra::core::{pareto_frontier, GroupAnalysis};
+use cobra::core::{ExactDp, GroupAnalysis, PlanContext};
 use cobra::datagen::scenarios;
 use cobra::datagen::telephony::{Telephony, TelephonyConfig};
 use cobra::provenance::{DenseValuation, VarRegistry};
@@ -32,7 +32,8 @@ fn main() {
 
     // The full expressiveness/size trade-off curve of the Fig. 2 tree —
     // every bound a user could set collapses onto one of these points.
-    let frontier = pareto_frontier(&tree, &analysis);
+    let ctx = PlanContext::new(&tree, &analysis);
+    let frontier = ExactDp.frontier_sizes(&ctx);
     let scenario_rat = scenarios::march_discount().valuation(&mut reg);
     let scenario = scenario_rat.map(|c| c.to_f64());
     let full64 = polys.to_f64_set();
@@ -53,7 +54,8 @@ fn main() {
     .numeric();
     for point in &frontier {
         // materialize the cut of this cardinality to time the assignment
-        let sol = cobra::core::dp::optimize_for_cardinality(&tree, &analysis, point.variables)
+        let sol = ExactDp
+            .plan_cardinality(&ctx, point.variables)
             .expect("frontier points are attainable");
         let applied = cobra::core::apply_cut(&polys, &tree, &sol.cut, &mut reg);
         let comp64 = applied.compressed.to_f64_set();

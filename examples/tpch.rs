@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example tpch [scale_factor]`
 //! (default 0.01).
 
-use cobra::core::{CobraSession, GroupAnalysis};
+use cobra::core::{CobraSession, ExactDp, GroupAnalysis, PlanContext};
 use cobra::datagen::tpch::{
     geography_tree, time_tree, InstrumentedTpch, TpchConfig, TpchDatabase, TPCH_QUERIES,
 };
@@ -84,7 +84,8 @@ fn main() {
         // Bound sweep on Q1 (the most compressible): show the Pareto
         // frontier of expressiveness vs. size for the geography tree.
         if query.name == "Q1" {
-            let frontier = cobra::core::pareto_frontier(&session.trees()[0], &geo_analysis);
+            let ctx = PlanContext::new(&session.trees()[0], &geo_analysis);
+            let frontier = ExactDp.frontier_sizes(&ctx);
             println!("  Q1 geography Pareto frontier (variables → size):");
             for point in frontier.iter().take(8) {
                 println!("    {:>3} vars → {:>6} monomials", point.variables, point.size);

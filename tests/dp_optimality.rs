@@ -5,7 +5,9 @@
 //! bound, minimal size among those) for every feasible bound, and the
 //! claimed size must match a real application of the cut.
 
-use cobra::core::{apply_cut, enumerate_cuts, optimize, CoreError, GroupAnalysis};
+use cobra::core::{
+    apply_cut, enumerate_cuts, CoreError, CutPlanner, ExactDp, GroupAnalysis, PlanContext,
+};
 use cobra::core::{AbstractionTree, TreeSpec};
 use cobra::provenance::{Monomial, PolySet, Polynomial, VarRegistry};
 use cobra::util::Rat;
@@ -101,7 +103,7 @@ proptest! {
         let full = analysis.total_monomials();
 
         for bound in 0..=full + 1 {
-            let dp = optimize(&tree, &analysis, bound);
+            let dp = ExactDp.plan(&PlanContext::new(&tree, &analysis), bound);
             // oracle: evaluate every cut by real application
             let mut best: Option<(usize, u64)> = None;
             for cut in &cuts {

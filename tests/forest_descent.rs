@@ -3,7 +3,10 @@
 //! with the exact single-tree DP when the forest has one tree, and parity
 //! with the brute-force forest oracle on small two-tree instances.
 
-use cobra::core::{brute, dp, optimize_forest_descent, AbstractionTree, GroupAnalysis};
+use cobra::core::{
+    brute, optimize_forest_descent, AbstractionTree, CutPlanner, ExactDp, GroupAnalysis,
+    PlanContext,
+};
 use cobra::provenance::{Monomial, PolySet, Polynomial, VarRegistry};
 use cobra::util::Rat;
 use proptest::prelude::*;
@@ -49,7 +52,7 @@ proptest! {
         let (mut reg, tree_a, _, set) = two_tree_workload(&picks);
         let analysis = GroupAnalysis::analyze(&set, &tree_a).expect("one leaf per tree");
         let bound = (analysis.total_monomials() / divisor).max(1);
-        let exact = dp::optimize(&tree_a, &analysis, bound);
+        let exact = ExactDp.plan(&PlanContext::new(&tree_a, &analysis), bound);
         let descent = optimize_forest_descent(&set, &[&tree_a], bound, &mut reg, 16);
         match (exact, descent) {
             (Ok(e), Ok(d)) => {

@@ -3,7 +3,7 @@
 //! DP is exactly optimal everywhere (property-tested on synthetic
 //! workloads against the brute-force oracle elsewhere).
 
-use cobra::core::{dp, optimize_greedy, AbstractionTree, GroupAnalysis};
+use cobra::core::{AbstractionTree, CutPlanner, ExactDp, Greedy, GroupAnalysis, PlanContext};
 use cobra::datagen::synthetic::{generate, SyntheticConfig};
 use cobra::provenance::{parse_polyset, VarRegistry};
 use proptest::prelude::*;
@@ -26,8 +26,12 @@ fn greedy_is_strictly_suboptimal_on_ratio_trap() {
     assert_eq!(analysis.total_monomials(), 10);
 
     let bound = 7; // requires saving ≥ 3: merging B alone saves exactly 3
-    let greedy = optimize_greedy(&tree, &analysis, bound).unwrap();
-    let exact = dp::optimize(&tree, &analysis, bound).unwrap();
+    let greedy = Greedy
+        .plan(&PlanContext::new(&tree, &analysis), bound)
+        .unwrap();
+    let exact = ExactDp
+        .plan(&PlanContext::new(&tree, &analysis), bound)
+        .unwrap();
     assert_eq!(exact.variables, 3, "DP keeps a1, a2, B");
     assert_eq!(exact.size, 7);
     assert_eq!(greedy.variables, 2, "greedy merged both subtrees");
@@ -59,8 +63,8 @@ proptest! {
             .expect("single-leaf monomials");
         let bound = (analysis.total_monomials() / divisor).max(1);
         match (
-            optimize_greedy(&synthetic.tree, &analysis, bound),
-            dp::optimize(&synthetic.tree, &analysis, bound),
+            Greedy.plan(&PlanContext::new(&synthetic.tree, &analysis), bound),
+            ExactDp.plan(&PlanContext::new(&synthetic.tree, &analysis), bound),
         ) {
             (Ok(greedy), Ok(exact)) => {
                 prop_assert!(greedy.size <= bound);

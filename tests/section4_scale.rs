@@ -11,7 +11,7 @@
 //! every push, and the full-scale run lives in the `experiments` binary
 //! (EXPERIMENTS.md) plus an `#[ignore]`d test here for direct execution.
 
-use cobra::core::{optimize, GroupAnalysis};
+use cobra::core::{CutPlanner, ExactDp, GroupAnalysis, PlanContext};
 use cobra::datagen::telephony::{Telephony, TelephonyConfig};
 use cobra::provenance::VarRegistry;
 
@@ -39,10 +39,14 @@ fn section4_structure_at_reduced_scale() {
     // monomials per zip and 38,600/1055 ≈ 36.6.
     let bound_a = (zips as u64) * 94_600 / 1055;
     let bound_b = (zips as u64) * 38_600 / 1055;
-    let sol_a = optimize(&tree, &analysis, bound_a).unwrap();
+    let sol_a = ExactDp
+        .plan(&PlanContext::new(&tree, &analysis), bound_a)
+        .unwrap();
     assert_eq!(sol_a.size, (zips * 7 * months as usize) as u64); // S4-like cut
     assert_eq!(sol_a.variables, 7);
-    let sol_b = optimize(&tree, &analysis, bound_b).unwrap();
+    let sol_b = ExactDp
+        .plan(&PlanContext::new(&tree, &analysis), bound_b)
+        .unwrap();
     assert_eq!(sol_b.size, (zips * 3 * months as usize) as u64); // S1 cut
     assert_eq!(sol_b.variables, 3);
 }
@@ -58,9 +62,13 @@ fn section4_exact_numbers_at_full_scale() {
     assert_eq!(polys.total_monomials(), 139_260);
     let tree = Telephony::plans_tree(&mut reg);
     let analysis = GroupAnalysis::analyze(&polys, &tree).unwrap();
-    let sol_a = optimize(&tree, &analysis, 94_600).unwrap();
+    let sol_a = ExactDp
+        .plan(&PlanContext::new(&tree, &analysis), 94_600)
+        .unwrap();
     assert_eq!(sol_a.size, 88_620);
-    let sol_b = optimize(&tree, &analysis, 38_600).unwrap();
+    let sol_b = ExactDp
+        .plan(&PlanContext::new(&tree, &analysis), 38_600)
+        .unwrap();
     assert_eq!(sol_b.size, 37_980);
 }
 

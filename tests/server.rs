@@ -504,6 +504,31 @@ fn apply_delta_patches_live_sessions_over_the_wire() {
 }
 
 #[test]
+fn leaf_spanning_delta_is_a_typed_error_that_changes_nothing() {
+    let server = serve(ServerConfig::default()).unwrap();
+    let mut c = connect(server.addr());
+    assert_ok(&prepare(&mut c, "span", false));
+    assert_ok(&select_bound(&mut c, "span", 4));
+    let sweep = sweep_request("span", &[("p1", "0.8"), ("m1", "6/5"), ("v", "2")], None);
+    let before = request(&mut c, &sweep);
+    assert_ok(&before);
+
+    // p1*p2 mentions two leaves of the tree: the whole delta, its valid
+    // coefficient edit included, is rejected before anything changes.
+    let reply = request(
+        &mut c,
+        r#"{"op":"apply_delta","session":"span","ops":[{"poly":"P1","action":"set","term":"300*p1*m1"},{"poly":"P1","action":"insert","term":"1000*p1*p2*m1"}]}"#,
+    );
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(reply.get("kind").and_then(Json::as_str), Some("delta"));
+
+    let after = request(&mut c, &sweep);
+    assert_ok(&after);
+    assert_eq!(before.get("rows"), after.get("rows"));
+    server.shutdown();
+}
+
+#[test]
 fn session_cap_evicts_lru_to_store_and_reloads_transparently() {
     let dir = scratch_dir("cap");
     let server = serve(ServerConfig {
