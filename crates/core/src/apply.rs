@@ -116,10 +116,8 @@ pub fn apply_cut_with_groups<C: Coeff>(
 
 /// The polynomial-construction half of [`apply_cut_with_groups`]: builds
 /// the compressed set from the shared group statistics and an
-/// already-computed meta-variable assignment (`meta_vars` must be the
-/// output of [`Cut::substitution`] for `cut`, i.e. aligned with
-/// `cut.nodes()`). Pure — needs no registry — which is what lets the
-/// session defer it until something actually evaluates.
+/// already-computed meta-variable assignment, one [`GroupCompressor::poly`]
+/// per polynomial.
 pub(crate) fn compress_polyset_with_groups<C: Coeff>(
     set: &PolySet<C>,
     tree: &AbstractionTree,
@@ -127,48 +125,86 @@ pub(crate) fn compress_polyset_with_groups<C: Coeff>(
     cut: &Cut,
     meta_vars: &[MetaVar],
 ) -> PolySet<C> {
-    debug_assert_eq!(meta_vars.len(), cut.nodes().len());
-    // leaf position → index of the covering cut node (cut validity
-    // guarantees exactly one).
-    let mut cover = vec![u32::MAX; tree.num_leaves()];
-    for (ci, &node) in cut.nodes().iter().enumerate() {
-        for slot in &mut cover[tree.leaf_range(node)] {
-            *slot = ci as u32;
-        }
-    }
-    let polys: Vec<(&str, &Polynomial<C>)> = set.iter().collect();
-    let mut out_terms: Vec<Vec<(Monomial, C)>> = vec![Vec::new(); polys.len()];
-    for &(poly, term) in &analysis.base_terms {
-        let (m, c) = &polys[poly as usize].1.terms()[term as usize];
-        out_terms[poly as usize].push((m.clone(), c.clone()));
-    }
-    for group in &analysis.groups {
-        let src = polys[group.poly as usize].1.terms();
-        let out = &mut out_terms[group.poly as usize];
-        // Cut nodes cover contiguous leaf ranges and the group's positions
-        // are sorted, so members of the same cut node form runs.
-        let mut i = 0;
-        while i < group.leaf_positions.len() {
-            let node_idx = cover[group.leaf_positions[i] as usize] as usize;
-            let mut coeff = src[group.term_indices[i] as usize].1.clone();
-            let mut j = i + 1;
-            while j < group.leaf_positions.len()
-                && cover[group.leaf_positions[j] as usize] as usize == node_idx
-            {
-                coeff = coeff.add(&src[group.term_indices[j] as usize].1);
-                j += 1;
-            }
-            let meta = Monomial::from_pairs([(meta_vars[node_idx].var, group.exponent)]);
-            out.push((group.context.mul(&meta), coeff));
-            i = j;
-        }
-    }
+    let compressor = GroupCompressor::new(tree, analysis, cut, meta_vars);
     PolySet::from_entries(
-        polys
-            .iter()
-            .zip(out_terms)
-            .map(|(&(label, _), terms)| (label.to_owned(), Polynomial::from_terms(terms))),
+        set.iter()
+            .enumerate()
+            .map(|(p, (label, poly))| (label.to_owned(), compressor.poly(p, poly))),
     )
+}
+
+/// The one constructor of compressed polynomials from group statistics,
+/// for one cut: the whole-set application maps it over every polynomial, and
+/// a coefficient-only delta rebuilds the touched polynomials with it, so a
+/// patched compressed row is bit-identical to a rebuilt one by
+/// construction — same members, same addition order, same overflow
+/// behaviour. Pure — needs no registry — which is what lets the session
+/// defer it until something actually evaluates.
+pub(crate) struct GroupCompressor<'a> {
+    analysis: &'a GroupAnalysis,
+    meta_vars: &'a [MetaVar],
+    /// Leaf position → index of the covering cut node (cut validity
+    /// guarantees exactly one).
+    cover: Vec<u32>,
+}
+
+impl<'a> GroupCompressor<'a> {
+    /// `meta_vars` must be the output of [`Cut::substitution`] for `cut`,
+    /// i.e. aligned with `cut.nodes()`.
+    pub(crate) fn new(
+        tree: &AbstractionTree,
+        analysis: &'a GroupAnalysis,
+        cut: &Cut,
+        meta_vars: &'a [MetaVar],
+    ) -> GroupCompressor<'a> {
+        debug_assert_eq!(meta_vars.len(), cut.nodes().len());
+        let mut cover = vec![u32::MAX; tree.num_leaves()];
+        for (ci, &node) in cut.nodes().iter().enumerate() {
+            for slot in &mut cover[tree.leaf_range(node)] {
+                *slot = ci as u32;
+            }
+        }
+        GroupCompressor {
+            analysis,
+            meta_vars,
+            cover,
+        }
+    }
+
+    /// The compressed form of `poly`, polynomial `p` of the analyzed set:
+    /// each group contributes one monomial `context · meta^exp` per cut
+    /// node its leaves fall under, with the member coefficients summed,
+    /// and base monomials pass through. A sum that cancels to zero is
+    /// dropped.
+    pub(crate) fn poly<C: Coeff>(&self, p: usize, poly: &Polynomial<C>) -> Polynomial<C> {
+        let (base_terms, groups) = self.analysis.of_poly(p);
+        let src = poly.terms();
+        let mut out: Vec<(Monomial, C)> = base_terms
+            .iter()
+            .map(|&(_, term)| src[term as usize].clone())
+            .collect();
+        for group in groups {
+            // Cut nodes cover contiguous leaf ranges and the group's
+            // positions are sorted, so members of the same cut node form
+            // runs.
+            let mut i = 0;
+            while i < group.leaf_positions.len() {
+                let node_idx = self.cover[group.leaf_positions[i] as usize] as usize;
+                let mut coeff = src[group.term_indices[i] as usize].1.clone();
+                let mut j = i + 1;
+                while j < group.leaf_positions.len()
+                    && self.cover[group.leaf_positions[j] as usize] as usize == node_idx
+                {
+                    coeff = coeff.add(&src[group.term_indices[j] as usize].1);
+                    j += 1;
+                }
+                let meta = self.meta_vars[node_idx].var;
+                out.push((group.context.mul_power(meta, group.exponent), coeff));
+                i = j;
+            }
+        }
+        Polynomial::from_terms(out)
+    }
 }
 
 /// Applies several cuts (one per tree of a forest) in sequence.

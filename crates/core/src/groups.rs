@@ -18,13 +18,12 @@
 //! computes the groups and the node weights `w(v)`; [`ExactDp`](crate::planner::ExactDp) runs the
 //! knapsack over them.
 //!
-//! The additive formula counts one monomial per `(group, cut node)` pair;
-//! it assumes merged coefficients never **cancel to zero** (true for
-//! provenance annotations, which are nonnegative — counts, durations,
-//! prices). With mixed-sign coefficients an exact cancellation would make
-//! the materialized compressed set smaller than the formula predicts; the
-//! optimizer pipeline debug-asserts this invariant wherever a predicted
-//! size meets a real application.
+//! The additive formula counts one monomial per `(group, cut node)` pair
+//! and reads no coefficient. With mixed-sign coefficients a merged
+//! coefficient can **cancel to zero**, and the materialized compressed set
+//! is then smaller than the formula; reports keep the formula's count (see
+//! [`CompressionReport::compressed_size`](crate::CompressionReport::compressed_size)),
+//! and the materialized set never exceeds it.
 
 use crate::error::{CoreError, Result};
 use crate::tree::{AbstractionTree, NodeId};
@@ -236,6 +235,18 @@ impl GroupAnalysis {
             groups: out_groups,
             node_weight,
         })
+    }
+
+    /// Polynomial `p`'s base terms and groups: both lists are sorted by
+    /// polynomial, and groups never span polynomials, so each
+    /// polynomial's share of the analysis is one slice of each.
+    pub(crate) fn of_poly(&self, p: usize) -> (&[(u32, u32)], &[Group]) {
+        let (before, upto) = (|q: u32| (q as usize) < p, |q: u32| q as usize <= p);
+        let base = self.base_terms.partition_point(|&(q, _)| before(q))
+            ..self.base_terms.partition_point(|&(q, _)| upto(q));
+        let groups = self.groups.partition_point(|g| before(g.poly))
+            ..self.groups.partition_point(|g| upto(g.poly));
+        (&self.base_terms[base], &self.groups[groups])
     }
 
     /// The exact compressed size for a cut, via the additive formula.

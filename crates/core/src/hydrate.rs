@@ -40,8 +40,7 @@
 use crate::cut::Cut;
 use crate::error::{CoreError, Result};
 use crate::planner::{CutFrontier, FrontierPoint};
-use crate::scenario::CompiledComparison;
-use crate::session::{CobraSession, CompCells, Plan, PlanKind, TreePlan};
+use crate::session::{CobraSession, Plan, PlanKind, TreePlan, WarmPoint};
 use crate::tree::AbstractionTree;
 use cobra_provenance::persist::{self, tags};
 use cobra_provenance::{
@@ -94,8 +93,11 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
     let full_rat = session.full_engine_in(false);
     let full_f64 = session.full_f64_in(false);
 
-    // Deterministic warm-engine order (the map iterates arbitrarily).
-    let mut warm: Vec<(usize, &CompCells)> = state.warm.iter().map(|(&i, w)| (i, w)).collect();
+    // Deterministic warm-engine order (the map iterates arbitrarily),
+    // each entry with the deltas it has not absorbed yet patched in.
+    let mut warm: Vec<(usize, WarmPoint)> = (state.warm.keys())
+        .map(|&i| (i, session.warm_point(i).expect("a listed stash entry")))
+        .collect();
     warm.sort_unstable_by_key(|&(i, _)| i);
 
     let mut w = ArtifactWriter::new();
@@ -153,9 +155,9 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
     // Warm engine directory: frontier index + whether an f64 shadow rides
     // along; the programs themselves go in per-engine sections.
     w.put_u32(warm.len() as u32);
-    for &(idx, cells) in &warm {
-        w.put_u32(idx as u32);
-        w.put_u32(u32::from(cells.f64.get().is_some()));
+    for (idx, point) in &warm {
+        w.put_u32(*idx as u32);
+        w.put_u32(u32::from(point.f64.is_some()));
     }
 
     // v2: whether algebraic (DAG) compression was armed. The DAG programs
@@ -165,11 +167,10 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
 
     persist::write_program(&mut w, tags::PROGRAM_RAT, full_rat.program());
     persist::write_program(&mut w, tags::PROGRAM_F64, full_f64.program());
-    for (k, &(_, cells)) in warm.iter().enumerate() {
+    for (k, (_, point)) in warm.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
-        let engines = cells.engines.get().expect("warm points keep their engines");
-        persist::write_program(&mut w, base, engines.compressed.program());
-        if let Some(shadow) = cells.f64.get() {
+        persist::write_program(&mut w, base, point.compressed.program());
+        if let Some(shadow) = &point.f64 {
             persist::write_program(&mut w, base + 1, shadow.program());
         }
     }
@@ -317,16 +318,15 @@ fn restore_from_reader(
         return Err(persist_err("node weights do not match the tree"));
     }
 
-    let mut warm: FxHashMap<usize, CompCells> = FxHashMap::default();
+    let mut warm: FxHashMap<usize, WarmPoint> = FxHashMap::default();
     for (k, &(idx, has_f64)) in warm_dir.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
-        let engines = CompiledComparison::from_engines(full_rat_engine.clone(), load(base)?);
-        let cells = CompCells::default();
-        let _ = cells.engines.set(engines);
-        if has_f64 {
-            let _ = cells.f64.set(load_f64(base + 1)?);
-        }
-        warm.insert(idx, cells);
+        let point = WarmPoint {
+            compressed: load(base)?,
+            f64: if has_f64 { Some(load_f64(base + 1)?) } else { None },
+            stale: Vec::new(),
+        };
+        warm.insert(idx, point);
     }
 
     // Derivable from the persisted full program — never stored.

@@ -18,11 +18,21 @@ pub struct CompressionReport {
     pub bound: u64,
     /// Monomials before compression.
     pub original_size: u64,
-    /// Monomials after compression.
+    /// Monomials after compression, counted **structurally** for a single
+    /// tree: the base monomials plus one per group and cut node the group
+    /// touches — the size the planner bounds, read off the group analysis
+    /// without a coefficient. A merged coefficient that cancels to zero
+    /// still counts here, though the compressed polynomials omit it, so
+    /// both selection paths (`select_bound` and `compress`) report the same
+    /// size for the same cut and no coefficient-only delta moves it. A
+    /// forest's descent planner measures its applied polynomials instead.
     pub compressed_size: u64,
     /// Distinct variables before compression.
     pub original_vars: usize,
-    /// Distinct variables after compression.
+    /// Distinct variables after compression, by the same structural rule
+    /// as `compressed_size`: the non-tree variables plus the meta-variable
+    /// of every cut node some group touches, whether or not its merged
+    /// coefficients cancel.
     pub compressed_vars: usize,
     /// Human-readable cut description per tree, e.g.
     /// `Plans: {Business, Special, Standard}`.

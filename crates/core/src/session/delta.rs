@@ -2,11 +2,23 @@
 //! patching what the derived-state table says to patch and dropping the
 //! rest.
 
-use super::{select::plan_tree, CobraSession, Mutation, TreePlan};
+use super::{
+    select::plan_tree, CobraSession, CompCells, Compressed, FullCells, Mutation, Plan, TreePlan,
+    WarmPoint,
+};
+use crate::apply::GroupCompressor;
+use crate::cut::{Cut, MetaVar};
 use crate::error::{CoreError, Result};
 use crate::groups::GroupAnalysis;
-use cobra_provenance::{BatchEvaluator, DeltaAction, DeltaReport, PolyDelta};
+use crate::scenario::CompiledComparison;
+use cobra_provenance::{BatchEvaluator, DeltaAction, DeltaReport, PolyDelta, PolySet, Polynomial};
 use cobra_util::Rat;
+use std::cell::OnceCell;
+
+/// Polynomial `p` of a delta-touched set (indices were validated).
+fn poly_at(set: &PolySet<Rat>, p: usize) -> &Polynomial<Rat> {
+    set.poly(p).expect("touched index in range")
+}
 
 impl CobraSession {
     /// Applies a term-level delta to the session's polynomials **in
@@ -20,14 +32,24 @@ impl CobraSession {
     /// * the compiled full-side program is **spliced**: untouched CSR rows
     ///   are copied by range (coefficient-only deltas share every shape
     ///   array), and accumulated churn eventually triggers a compacting
-    ///   recompile;
-    /// * for planned frontiers, a structural delta re-analyzes only the
-    ///   touched polynomials (groups never span polynomials) and replans
-    ///   reusing the DP tables of every subtree whose weights did not
-    ///   change; a coefficient-only delta keeps the analysis, frontier and
-    ///   selection metadata entirely and drops just the compiled engines;
-    /// * an active frontier selection is re-selected at its bound, a
-    ///   one-shot [`compress`](Self::compress) state is re-derived, and a
+    ///   recompile; its `f64` shadow re-converts only the touched rows;
+    /// * a **coefficient-only** delta on a single tree's frontier
+    ///   selection goes through the abstraction: a compressed coefficient
+    ///   is the sum of its members', so the touched polynomials'
+    ///   compressed rows are rebuilt from their own slice of the group
+    ///   analysis and spliced into the compressed program and its `f64`
+    ///   shadow the same way. The analysis, frontier, selection and report
+    ///   are kept — a tree report is structural and reads no coefficient —
+    ///   and warm-stashed frontier points absorb the delta when next
+    ///   selected. The cost is `O(touched)` plus one coefficient-array copy
+    ///   per program: the `Rat` and `f64` programs of the full and the
+    ///   compressed side; the following [`warm_up`](Self::warm_up) has
+    ///   nothing left to build;
+    /// * a structural delta re-analyzes only the touched polynomials of a
+    ///   planned frontier (groups never span polynomials), replans reusing
+    ///   the DP tables of every subtree whose weights did not change, and
+    ///   re-selects the active bound;
+    /// * a one-shot [`compress`](Self::compress) state is re-derived, and a
     ///   forest staircase (descent-built over the whole set) is cleared
     ///   for replanning.
     ///
@@ -151,27 +173,116 @@ impl CobraSession {
         Ok(())
     }
 
-    /// The flat full-side program patched for a delta, if one was
-    /// compiled: coefficient-only deltas overwrite coefficient ranges and
-    /// share every shape array; structural deltas splice only the touched
-    /// CSR rows. Accumulated churn past a quarter of the program triggers
-    /// a compacting recompile, bounding local-table drift.
-    pub(super) fn patch_full_engines(
-        &mut self,
-        report: &DeltaReport,
-    ) -> Option<BatchEvaluator<Rat>> {
+    /// The flat full-side cells patched for a delta, if the exact program
+    /// was compiled: the touched polynomials' rows are replaced
+    /// ([`patched`](cobra_provenance::EvalProgram::patched):
+    /// coefficient-only deltas share every shape array, structural ones
+    /// splice) and the `f64` shadow re-converts only those rows.
+    /// Accumulated churn past a quarter of the program triggers a
+    /// compacting recompile instead, bounding local-table drift; the
+    /// shadow then re-derives lazily, as after a structural delta.
+    pub(super) fn patched_full_cells(&mut self, report: &DeltaReport) -> FullCells {
         self.delta_churn += report.terms_touched;
-        let old = self.full.flat.rat.get()?;
+        let Some(old) = self.full.flat.rat.get() else {
+            return FullCells::default();
+        };
         let set = Self::polys_of(&self.polys, &self.full.flat.rat);
-        let compact = self.delta_churn >= (old.program().num_terms() / 4).max(64);
-        Some(if compact {
+        let touched = report.touched();
+        let rat = if self.delta_churn >= (old.program().num_terms() / 4).max(64) {
             self.delta_churn = 0;
             BatchEvaluator::compile(set)
-        } else if report.is_structural() {
-            BatchEvaluator::new(old.program().patched(set, &report.touched()))
         } else {
-            BatchEvaluator::new(old.program().patched_coeffs(set, &report.touched()))
+            let rows: Vec<_> = touched.iter().map(|&p| (p, poly_at(set, p))).collect();
+            BatchEvaluator::new(old.program().patched(&rows))
+        };
+        let f64 = (self.full.flat.f64.get())
+            .and_then(|prev| rat.program().patched_f64(prev.program(), &touched));
+        FullCells {
+            rat: rat.into(),
+            f64: f64
+                .map(|p| BatchEvaluator::new(p).into())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// A frontier selection's flat cells patched for a coefficient-only
+    /// delta to the polynomials `touched` ([`patched_point`]); empty —
+    /// rebuilt lazily — when nothing was compiled or the plan has no group
+    /// analysis.
+    ///
+    /// [`patched_point`]: Self::patched_point
+    pub(super) fn patched_cells(&self, state: &Compressed, touched: &[usize]) -> CompCells {
+        let cut = state.lazy_cut.as_ref().expect("a frontier selection");
+        let flat = &state.cells.flat;
+        let point = (flat.engines.get()).and_then(|engines| {
+            let f64 = flat.f64.get();
+            self.patched_point(&engines.compressed, f64, cut, &state.meta_vars, touched)
+        });
+        point.map(|p| self.point_cells(p)).unwrap_or_default()
+    }
+
+    /// The flat compressed engine and `f64` shadow of the tree frontier
+    /// point with `cut` and `meta_vars`, patched for a coefficient-only
+    /// delta to the polynomials `touched`. Groups never span polynomials,
+    /// so each touched polynomial's compressed row is rebuilt from its own
+    /// slice of the group analysis by the same constructor a fresh apply
+    /// uses ([`GroupCompressor`]) and replaced in the compressed program
+    /// ([`patched`](cobra_provenance::EvalProgram::patched): the shape
+    /// arrays stay shared unless a merged coefficient cancelled to zero or
+    /// un-cancelled); the `f64` shadow re-converts those rows, or is left
+    /// to rebuild lazily after a splice. `None` when the plan has no group
+    /// analysis.
+    pub(super) fn patched_point(
+        &self,
+        compressed: &BatchEvaluator<Rat>,
+        f64: Option<&BatchEvaluator<f64>>,
+        cut: &Cut,
+        meta_vars: &[MetaVar],
+        touched: &[usize],
+    ) -> Option<WarmPoint> {
+        let plan = self.plan.as_ref().and_then(Plan::tree);
+        let analysis = plan.and_then(|p| p.analysis.get())?;
+        let compressor = GroupCompressor::new(&self.trees[0], analysis, cut, meta_vars);
+        let set = self.polynomials();
+        let rebuilt: Vec<_> = (touched.iter())
+            .map(|&p| (p, compressor.poly(p, poly_at(set, p))))
+            .collect();
+        let rows: Vec<_> = rebuilt.iter().map(|(p, poly)| (*p, poly)).collect();
+        let program = compressed.program().patched(&rows);
+        let f64 = f64.and_then(|prev| program.patched_f64(prev.program(), touched));
+        Some(WarmPoint {
+            compressed: BatchEvaluator::new(program),
+            f64: f64.map(BatchEvaluator::new),
+            stale: Vec::new(),
         })
+    }
+
+    /// A frontier point's flat cells: its compressed engine and `f64`
+    /// shadow, paired with the session's full engine. The Higham shadow
+    /// rebuilds lazily.
+    pub(super) fn point_cells(&self, point: WarmPoint) -> CompCells {
+        let full = self.full_engine_in(false).clone();
+        CompCells {
+            engines: CompiledComparison::from_engines(full, point.compressed).into(),
+            f64: point.f64.map(OnceCell::from).unwrap_or_default(),
+            shadow: OnceCell::new(),
+        }
+    }
+
+    /// The tree warm-stash entry of frontier point `idx`, with the
+    /// coefficient-only deltas it has not absorbed yet patched in
+    /// ([`patched_point`](Self::patched_point)).
+    pub(crate) fn warm_point(&self, idx: usize) -> Option<WarmPoint> {
+        let plan = self.plan.as_ref().and_then(Plan::tree)?;
+        let warm = plan.warm.get(&idx)?;
+        if warm.stale.is_empty() {
+            return Some(warm.clone());
+        }
+        let cut = &plan.frontier.points()[idx].cut;
+        let (_, meta_vars) = (plan.subs.get(&idx))
+            .expect("a stashed point was selected, so its meta-variables are memoized");
+        let f64 = warm.f64.as_ref();
+        self.patched_point(&warm.compressed, f64, cut, meta_vars, &warm.stale)
     }
 
     /// Replans a tree frontier after a structural delta: re-analyzes only
@@ -207,43 +318,154 @@ mod tests {
     use super::*;
     use cobra_provenance::{Monomial, Valuation, Var};
 
-    #[test]
-    fn coeff_only_delta_patches_in_place_and_matches_fresh_rebuild() {
-        let mut s = planned_paper_session();
-        s.select_bound(6).unwrap();
-        s.baseline_results().unwrap(); // force engines so the patch path runs
-        let (p1v, m3) = {
-            let reg = s.registry_mut();
-            (reg.var("p1"), reg.var("m3"))
-        };
-        let idx = s.polynomials().index_of("P1").unwrap();
-        let mut delta = PolyDelta::new();
-        delta.set(idx, Monomial::from_pairs([(p1v, 1), (m3, 1)]), rat("250"));
-        let report = s.apply_delta(&delta).unwrap();
-        assert!(!report.is_structural());
-        // selection metadata survived; only compiled caches were dropped
-        let state = s.compressed.as_ref().unwrap();
-        assert!(state.cells.flat.engines.get().is_none());
-        assert_eq!(state.report.compressed_size, 6);
-        assert!(s.plan.as_ref().unwrap().selected.is_some());
-        let fresh = fresh_rebuild(&s, 6);
-        let b1 = s.registry_mut().var("b1");
-        let scenarios: Vec<Valuation<Rat>> = (0..8)
+    /// The flat compressed engines of the current selection.
+    fn selected_cells(s: &CobraSession) -> &CompCells {
+        &s.compressed.as_ref().unwrap().cells.flat
+    }
+
+    /// The compressed rows of `s`'s current selection, as the program
+    /// holds them: decompiled polynomials, then `f64` answers on a grid.
+    fn compressed_rows(s: &CobraSession, grid: &[Valuation<Rat>]) -> (PolySet<Rat>, Vec<u64>) {
+        let cells = selected_cells(s);
+        let exact = cells
+            .engines
+            .get()
+            .unwrap()
+            .compressed
+            .program()
+            .decompile();
+        let sweep = s.sweep_f64(grid).unwrap();
+        let bits = (0..grid.len())
+            .flat_map(|i| {
+                sweep
+                    .compressed_row(i)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        (exact, bits)
+    }
+
+    fn grid(s: &mut CobraSession) -> Vec<Valuation<Rat>> {
+        let (m3, b1) = (s.registry_mut().var("m3"), s.registry_mut().var("b1"));
+        (0..8)
             .map(|i: i128| {
                 Valuation::with_default(Rat::ONE)
                     .bind(m3, Rat::ONE - Rat::new(i, 100))
                     .bind(b1, Rat::ONE + Rat::new(i, 50))
             })
-            .collect();
-        let patched = s.sweep(&scenarios).unwrap();
-        let rebuilt = fresh.sweep(&scenarios).unwrap();
-        for i in 0..scenarios.len() {
+            .collect()
+    }
+
+    /// A coefficient-only delta to P1's March Standard term.
+    fn march_price(s: &mut CobraSession, price: &str) {
+        let (p1v, m3) = (s.registry_mut().var("p1"), s.registry_mut().var("m3"));
+        let idx = s.polynomials().index_of("P1").unwrap();
+        let mut delta = PolyDelta::new();
+        delta.set(idx, Monomial::from_pairs([(p1v, 1), (m3, 1)]), rat(price));
+        assert!(!s.apply_delta(&delta).unwrap().is_structural());
+    }
+
+    #[test]
+    fn coeff_only_delta_patches_in_place_and_matches_fresh_rebuild() {
+        let mut s = planned_paper_session();
+        s.select_bound(6).unwrap();
+        s.warm_up().unwrap(); // compile the engines the delta patches
+        let before = selected_cells(&s).engines.get().unwrap().compressed.clone();
+        let full_before = s.full_engine_in(false).clone();
+        march_price(&mut s, "250");
+        // Selection metadata survived, and the engines were patched in
+        // place: the compressed program shares every shape array with its
+        // predecessor, and so do both f64 shadows with their programs.
+        assert_eq!(s.compressed.as_ref().unwrap().report.compressed_size, 6);
+        assert!(s.plan.as_ref().unwrap().selected.is_some());
+        let cells = selected_cells(&s);
+        let patched = cells.engines.get().expect("patched, not dropped").clone();
+        let shadow = cells
+            .f64
+            .get()
+            .expect("the f64 shadow is patched too")
+            .clone();
+        assert!(patched.compressed.program().shares_shape(before.program()));
+        assert!(!std::ptr::eq(
+            patched.compressed.program(),
+            before.program()
+        ));
+        assert!(shadow.program().shares_shape(patched.compressed.program()));
+        let full = s.full_engine_in(false);
+        assert!(full.program().shares_shape(full_before.program()));
+        assert!(std::ptr::eq(patched.full.program(), full.program()));
+        assert!(s.full_f64_in(false).program().shares_shape(full.program()));
+        // warm_up has nothing left to build.
+        let full_f64: *const _ = s.full_f64_in(false).program();
+        s.warm_up().unwrap();
+        let cells = selected_cells(&s);
+        assert!(std::ptr::eq(
+            cells.engines.get().unwrap().compressed.program(),
+            patched.compressed.program()
+        ));
+        assert!(std::ptr::eq(
+            cells.f64.get().unwrap().program(),
+            shadow.program()
+        ));
+        assert!(std::ptr::eq(s.full_f64_in(false).program(), full_f64));
+
+        let fresh = fresh_rebuild(&s, 6);
+        fresh.warm_up().unwrap();
+        let grid = grid(&mut s);
+        assert_eq!(compressed_rows(&s, &grid), compressed_rows(&fresh, &grid));
+        let patched = s.sweep(&grid).unwrap();
+        let rebuilt = fresh.sweep(&grid).unwrap();
+        for i in 0..grid.len() {
             assert_eq!(
                 patched.comparison(i).rows,
                 rebuilt.comparison(i).rows,
                 "scenario {i}"
             );
         }
+    }
+
+    #[test]
+    fn a_stashed_point_absorbs_coeff_only_deltas_when_reselected() {
+        let mut s = planned_paper_session();
+        s.select_bound(6).unwrap();
+        s.warm_up().unwrap();
+        let stashed = selected_cells(&s).engines.get().unwrap().compressed.clone();
+        s.select_bound(4).unwrap(); // stashes the size-6 point
+        s.warm_up().unwrap();
+        march_price(&mut s, "250");
+        march_price(&mut s, "260");
+        let plan = s.plan.as_ref().and_then(Plan::tree).unwrap();
+        let point = plan.frontier.select_index(6).unwrap();
+        assert_eq!(
+            plan.warm[&point].stale,
+            [0],
+            "absorbed only when re-selected"
+        );
+        // Hopping back re-installs the stash entry, patched: its program
+        // keeps the stashed shape arrays and nothing compiles.
+        s.select_bound(6).unwrap();
+        let cells = selected_cells(&s);
+        let installed = cells.engines.get().expect("re-installed warm").clone();
+        assert!(cells.f64.get().is_some());
+        assert!(installed
+            .compressed
+            .program()
+            .shares_shape(stashed.program()));
+        assert!(std::ptr::eq(
+            installed.full.program(),
+            s.full_engine_in(false).program()
+        ));
+        let fresh = fresh_rebuild(&s, 6);
+        fresh.warm_up().unwrap();
+        let grid = grid(&mut s);
+        assert_eq!(compressed_rows(&s, &grid), compressed_rows(&fresh, &grid));
+        let scenario = &grid[3];
+        assert_eq!(
+            s.assign(scenario).unwrap().rows,
+            fresh.assign(scenario).unwrap().rows
+        );
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //! | artifact | reads | on write: drop or patch | warm policy |
 //! |---|---|---|---|
 //! | flat full program | structure, coefficients | any delta: **patched** — the CSR rows of touched polynomials are spliced, and accumulated churn past a quarter of the program compacts by recompiling | built once, shared by every selection |
-//! | full `f64` shadow and the full side's DAG twins | structure, coefficients | any delta: dropped, rebuilt lazily from the patched program | shared by every selection |
+//! | full `f64` shadow | structure, coefficients | coefficient-only delta: **patched** — the touched rows re-convert from the patched program, the other coefficients are copied; structural delta: dropped, rebuilt lazily | shared by every selection |
+//! | full side's DAG twins | structure, coefficients | any delta: dropped, rebuilt lazily from the patched program | shared by every selection |
 //! | tree plan: group analysis, Pareto frontier, node weights, invariant variables, DP tables | structure, trees | `add_tree`: dropped; structural delta: **replanned incrementally** (clean subtrees reuse their DP tables); coefficient-only delta: kept, since no coefficient is read | — |
 //! | tree plan's meta-variable identities per frontier point | structure, trees | `add_tree`, structural delta: dropped (frontier indices shift) | kept for every point, so a re-selection reuses the identities its warm engines were compiled against |
-//! | tree warm stash | structure, coefficients, trees | any delta, `add_tree`: dropped | compressed-side engines only: the applied abstraction re-derives cheaply from the point's cut |
+//! | tree warm stash | structure, coefficients, trees | coefficient-only delta: **patched** — each entry records the touched polynomials it has not absorbed and is patched like the selection cells when re-selected, so re-installing a stashed point never costs a cold compile; structural delta, `add_tree`, or a coefficient-only delta to an entry the plan cannot rebuild rows for yet (no group analysis or memoized meta-variables, as in a re-hydrated session): dropped | flat compressed-side engines and their `f64` shadow: the applied abstraction re-derives cheaply from the point's cut |
 //! | forest staircase and its warm stash | structure, coefficients, trees | any delta, `add_tree`: dropped — staircase sizes are measured by `apply_cuts`, which drops cancelled terms, so the forest plan reads coefficients | whole selection states: `apply_cuts` is the expensive step |
-//! | selection: cut, meta-variables, report | structure, trees, selection | `add_tree`, `set_bound`, a new selection: dropped (the outgoing frontier point is stashed warm first); structural delta: dropped, then re-derived by [`apply_delta`](CobraSession::apply_delta); coefficient-only delta: kept for frontier selections, re-derived for one-shot compressions | — |
-//! | selection cells: applied polynomials, compressed engines, their `f64` and Higham shadows | structure, coefficients, trees, selection | dropped with the selection; any delta: dropped, rebuilt lazily | — |
+//! | selection: cut, meta-variables, report | structure, trees, selection | `add_tree`, `set_bound`, a new selection: dropped (the outgoing frontier point is stashed warm first); structural delta: dropped, then re-derived by [`apply_delta`](CobraSession::apply_delta); coefficient-only delta: kept for frontier selections — a tree report is structural, so no coefficient moves it — and re-derived for one-shot compressions | — |
+//! | selection cells: flat compressed engine and its `f64` shadow | structure, coefficients, trees, selection | dropped with the selection; coefficient-only delta on a tree frontier selection: **patched** — the touched polynomials' compressed rows are rebuilt from their slice of the group analysis and spliced into the compressed program (its shape arrays stay shared unless a merged coefficient cancels to zero or un-cancels), the `f64` shadow re-converts those rows, and the comparison pairs the patched full program; any other delta: dropped, rebuilt lazily | — |
+//! | selection's applied polynomials, Higham shadow and DAG cells | structure, coefficients, trees, selection | dropped with the selection; any delta: dropped, rebuilt lazily from the cut and the patched engines | — |
 //!
 //! The DAG mode ([`compile_dag`](CobraSession::compile_dag)) is not an
 //! input: every engine cell exists once per evaluation mode, flat and DAG,
@@ -327,7 +329,22 @@ pub(crate) struct TreePlan {
     /// stashed on de-selection so hopping back to a bound the session
     /// already explored re-installs them (cheap `Arc` clones) instead of
     /// decompiling, re-analyzing and recompiling.
-    pub(crate) warm: FxHashMap<usize, CompCells>,
+    pub(crate) warm: FxHashMap<usize, WarmPoint>,
+}
+
+/// One tree warm-stash entry: the point's flat compressed engine, its
+/// `f64` shadow if built, and the polynomials coefficient-only deltas
+/// touched since they were stashed. Those are patched in when the point
+/// is re-selected ([`CobraSession::warm_point`]), not on every delta,
+/// which would cost one coefficient copy per point ever visited. The full
+/// side is not kept: a re-selection pairs the point with the session's
+/// current full engine.
+#[derive(Clone)]
+pub(crate) struct WarmPoint {
+    pub(crate) compressed: BatchEvaluator<Rat>,
+    pub(crate) f64: Option<BatchEvaluator<f64>>,
+    /// Sorted, deduplicated polynomial indices not yet absorbed.
+    pub(crate) stale: Vec<usize>,
 }
 
 /// The forest analogue of [`TreePlan`]: a staircase of coordinate-descent
@@ -403,23 +420,40 @@ impl CobraSession {
                 }
             }
             Mutation::Delta(report) => {
-                // The flat full program is spliced, not dropped; its f64
-                // shadow and DAG twins re-derive lazily from it.
-                let patched = self.patch_full_engines(report);
-                self.full = PerMode::default();
-                self.full.flat.rat = patched.map(OnceCell::from).unwrap_or_default();
+                // The flat full program is spliced and its f64 shadow
+                // patched, not dropped; the DAG twins re-derive lazily.
+                let flat = self.patched_full_cells(report);
+                self.full = PerMode {
+                    flat,
+                    dag: FullCells::default(),
+                };
                 match self.plan.as_mut().and_then(Plan::tree_mut) {
                     Some(plan) if !report.is_structural() => {
-                        plan.warm.clear();
-                        match &mut self.compressed {
-                            // A frontier selection's cut, meta-variables
-                            // and sizes read no coefficient: only its
-                            // cells go.
-                            Some(state) if state.lazy_cut.is_some() => {
-                                let _ = state.applied.take();
-                                state.cells = PerMode::default();
-                            }
-                            _ => self.compressed = None,
+                        let touched = &report.coeff_polys;
+                        // Stashed points absorb the delta when re-selected;
+                        // one the plan cannot rebuild rows for yet (no
+                        // group analysis or memoized meta-variables, as in
+                        // a re-hydrated session) is dropped.
+                        let (analyzed, subs) = (plan.analysis.get().is_some(), &plan.subs);
+                        plan.warm
+                            .retain(|idx, _| analyzed && subs.contains_key(idx));
+                        for warm in plan.warm.values_mut() {
+                            warm.stale.extend(touched);
+                            warm.stale.sort_unstable();
+                            warm.stale.dedup();
+                        }
+                        // A frontier selection's cut, meta-variables and
+                        // sizes read no coefficient: its flat engines are
+                        // patched, the rest re-derives. A one-shot
+                        // compression goes.
+                        let frontier = self.compressed.take().filter(|c| c.lazy_cut.is_some());
+                        if let Some(mut state) = frontier {
+                            state.cells = PerMode {
+                                flat: self.patched_cells(&state, touched),
+                                dag: CompCells::default(),
+                            };
+                            let _ = state.applied.take();
+                            self.compressed = Some(state);
                         }
                     }
                     _ => {
@@ -553,13 +587,12 @@ impl CobraSession {
                 cut,
                 &state.meta_vars,
             );
-            debug_assert_eq!(
-                compressed.total_monomials() as u64,
-                state.report.compressed_size
-            );
+            // The report counts structurally; a merged coefficient that
+            // cancelled to zero is absent from the polynomials.
+            debug_assert!(compressed.total_monomials() as u64 <= state.report.compressed_size);
             AppliedAbstraction {
                 original_size: state.report.original_size as usize,
-                compressed_size: state.report.compressed_size as usize,
+                compressed_size: compressed.total_monomials(),
                 compressed,
                 substitution: state.substitution.clone(),
                 meta_vars: state.meta_vars.clone(),

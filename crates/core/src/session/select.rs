@@ -1,7 +1,7 @@
 //! Planning and selection: the one-shot optimizer, the frontier and
 //! staircase planners, and bound selection against them.
 
-use super::{CobraSession, CompCells, Compressed, ForestPlan, Mutation, Plan, PlanKind, TreePlan};
+use super::{CobraSession, Compressed, ForestPlan, Mutation, Plan, PlanKind, TreePlan, WarmPoint};
 use crate::apply::apply_cuts;
 use crate::assign::SpeedupMeasurement;
 use crate::cut::Cut;
@@ -41,17 +41,6 @@ pub(super) fn plan_tree(
     let frontier = ExactDp
         .plan_frontier(&ctx)
         .expect("the exact DP frontier always exists");
-    // The non-tree variables survive every cut: count them once so
-    // selections can report `compressed_vars` without building the
-    // compressed polynomials.
-    let mut invariant: FxHashSet<Var> = FxHashSet::default();
-    for group in &analysis.groups {
-        invariant.extend(group.context.vars());
-    }
-    let polys: Vec<_> = set.iter().map(|(_, p)| p).collect();
-    for &(poly, term) in &analysis.base_terms {
-        invariant.extend(polys[poly as usize].terms()[term as usize].0.vars());
-    }
     let mut reserved = set.distinct_vars();
     let original_vars = reserved.len();
     reserved.extend(prev.into_iter().flat_map(|p| p.reserved));
@@ -61,7 +50,9 @@ pub(super) fn plan_tree(
         selected: None,
         kind: PlanKind::Tree(Box::new(TreePlan {
             node_weight: analysis.node_weight.clone(),
-            invariant_vars: invariant.len(),
+            // Counted once, so selections can report `compressed_vars`
+            // without building the compressed polynomials.
+            invariant_vars: invariant_vars(set, &analysis),
             // Keep the DP tables: structural deltas replan incrementally
             // against them instead of rebuilding the whole tree.
             plan_snapshot: Some(ctx.snapshot()),
@@ -73,6 +64,30 @@ pub(super) fn plan_tree(
             warm: Default::default(),
         })),
     }
+}
+
+/// Distinct non-tree variables of `set` (base-term and group-context
+/// variables): they survive every cut.
+fn invariant_vars(set: &PolySet<Rat>, analysis: &GroupAnalysis) -> usize {
+    let mut invariant: FxHashSet<Var> = FxHashSet::default();
+    for group in &analysis.groups {
+        invariant.extend(group.context.vars());
+    }
+    for &(poly, term) in &analysis.base_terms {
+        let poly = set.poly(poly as usize).expect("analyzed polynomial");
+        invariant.extend(poly.terms()[term as usize].0.vars());
+    }
+    invariant.len()
+}
+
+/// The structural variable count of `cut`: the invariant variables plus
+/// the meta-variable of every cut node some group touches — reading no
+/// coefficient, like the size the planner bounds.
+fn structural_vars(invariant_vars: usize, node_weight: &[u64], cut: &Cut) -> usize {
+    invariant_vars
+        + (cut.nodes().iter())
+            .filter(|n| node_weight[n.index()] > 0)
+            .count()
 }
 
 impl CobraSession {
@@ -99,14 +114,22 @@ impl CobraSession {
         let full_stats = ProvenanceStats::compute(self.polynomials());
         self.log(|| format!("input: {full_stats}"));
         let polys = Self::polys_of(&self.polys, &self.full.flat.rat);
-        let cuts = if let [tree] = &self.trees[..] {
+        // One tree reports structurally, as `select_bound` does; a
+        // forest's descent measures the applied polynomials.
+        let (cuts, structural) = if let [tree] = &self.trees[..] {
             let analysis = GroupAnalysis::analyze(polys, tree)?;
-            vec![ExactDp.plan(&PlanContext::new(tree, &analysis), bound)?.cut]
+            let cut = ExactDp.plan(&PlanContext::new(tree, &analysis), bound)?.cut;
+            let invariant = invariant_vars(polys, &analysis);
+            let vars = structural_vars(invariant, &analysis.node_weight, &cut);
+            let size = analysis.compressed_size(cut.nodes());
+            (vec![cut], Some((size, vars)))
         } else {
             let trees: Vec<&AbstractionTree> = self.trees.iter().collect();
-            optimize_forest_descent(polys, &trees, bound, &mut self.reg, 32)?.cuts
+            let cuts = optimize_forest_descent(polys, &trees, bound, &mut self.reg, 32)?.cuts;
+            (cuts, None)
         };
-        let state = self.apply_selection(&cuts, full_stats.distinct_vars, "chosen cut");
+        let vars = full_stats.distinct_vars;
+        let state = self.apply_selection(&cuts, vars, structural, "chosen cut");
         let (original, compressed) = (state.report.original_size, state.report.compressed_size);
         self.log(|| format!("compressed {original} → {compressed} monomials"));
         // Engines compile lazily on first evaluation; the full-side
@@ -278,9 +301,9 @@ impl CobraSession {
     /// `select_bound_p50_ms` against `core.plan.frontier_ms`).
     ///
     /// Like every predicted size in the optimizer pipeline, the report's
-    /// `compressed_size` comes from the additive group formula, which
-    /// assumes merged coefficients never cancel to zero (always true for
-    /// nonnegative provenance annotations; see [`crate::groups`]).
+    /// `compressed_size` and `compressed_vars` are structural: the
+    /// additive group formula, which reads no coefficient (see
+    /// [`CompressionReport::compressed_size`]).
     ///
     /// Against a forest staircase
     /// ([`compress_forest_frontier`](Self::compress_forest_frontier)) the
@@ -336,14 +359,13 @@ impl CobraSession {
         // Stash the outgoing selection's engines (cheap `Arc` clones) so
         // hopping back to its bound later skips recompilation.
         if let (Some(old_idx), Some(old)) = (prev.filter(|&old| old != idx), &self.compressed) {
-            let (engines, f64) = (old.cells.flat.engines.clone(), old.cells.flat.f64.clone());
-            if engines.get().is_some() {
-                let cells = CompCells {
-                    engines,
-                    f64,
-                    shadow: Default::default(),
+            if let Some(engines) = old.cells.flat.engines.get() {
+                let warm = WarmPoint {
+                    compressed: engines.compressed.clone(),
+                    f64: old.cells.flat.f64.get().cloned(),
+                    stale: Vec::new(),
                 };
-                plan.warm.insert(old_idx, cells);
+                plan.warm.insert(old_idx, warm);
             }
         }
         let point = &plan.frontier.points()[idx];
@@ -359,22 +381,23 @@ impl CobraSession {
         // mistaken for user variables (name-addressing a meta-variable via
         // `registry_mut` must keep resolving to the meta-variable itself).
         plan.reg_len_at_plan = self.reg.len();
-        // The invariant (non-tree) variables survive every cut; a cut
-        // node's meta-variable occurs iff some group touches it.
-        let nodes = point.cut.nodes().iter();
-        let touched = nodes.filter(|n| plan.node_weight[n.index()] > 0).count();
+        let vars = structural_vars(plan.invariant_vars, &plan.node_weight, &point.cut);
         let mut next = Compressed::new(
             (substitution, meta_vars),
             original,
-            (point.size, plan.invariant_vars + touched),
+            (point.size, vars),
             cuts_display(&self.trees, std::slice::from_ref(&point.cut)),
             Some(point.cut.clone()),
             None,
         );
         // Warm re-selection: pre-install the stashed engines so the first
-        // evaluation after hopping back costs nothing.
-        if let Some(warm) = plan.warm.get(&idx) {
-            next.cells.flat = warm.clone();
+        // evaluation after hopping back costs nothing. The stash keeps
+        // what was installed, so the arrays an absorbed delta replaced are
+        // freed.
+        if let Some(point) = self.warm_point(idx) {
+            let plan = self.plan.as_mut().and_then(Plan::tree_mut);
+            plan.expect("a tree plan").warm.insert(idx, point.clone());
+            next.cells.flat = self.point_cells(point);
         }
         self.log_cuts("selected cut", &next.report.cuts);
         next
@@ -406,18 +429,27 @@ impl CobraSession {
             return warm;
         }
         let cuts = plan.frontier.points()[idx].cuts.clone();
-        self.apply_selection(&cuts, original_vars, "selected forest cut")
+        self.apply_selection(&cuts, original_vars, None, "selected forest cut")
     }
 
     /// The selection of one cut per tree, applied eagerly (the one-shot
-    /// and forest paths) and traced under `verb`.
-    fn apply_selection(&mut self, cuts: &[Cut], original_vars: usize, verb: &str) -> Compressed {
+    /// and forest paths) and traced under `verb`. Its report carries the
+    /// `structural` `(size, variables)` of a single tree's cut, or else
+    /// what the applied polynomials measure.
+    fn apply_selection(
+        &mut self,
+        cuts: &[Cut],
+        original_vars: usize,
+        structural: Option<(u64, usize)>,
+        verb: &str,
+    ) -> Compressed {
         let polys = Self::polys_of(&self.polys, &self.full.flat.rat);
         let pairs: Vec<_> = self.trees.iter().zip(cuts).collect();
         let applied = apply_cuts(polys, &pairs, &mut self.reg);
         let sub = (applied.substitution.clone(), applied.meta_vars.clone());
         let original = (applied.original_size as u64, original_vars);
-        let compressed = (applied.compressed_size as u64, applied.distinct_vars());
+        let compressed =
+            structural.unwrap_or_else(|| (applied.compressed_size as u64, applied.distinct_vars()));
         let cuts = cuts_display(&self.trees, cuts);
         let state = Compressed::new(sub, original, compressed, cuts, None, Some(applied));
         self.log_cuts(verb, &state.report.cuts);
@@ -464,6 +496,37 @@ mod tests {
         let business = metas.iter().find(|m| m.name == "Business").unwrap();
         assert_eq!(business.leaves.len(), 3);
         assert_eq!(business.default_value, Rat::ONE);
+    }
+
+    /// `U·x` cancels under the cut `{U, c}`: both paths report the
+    /// structural size the planner bounded, and both hold the two terms
+    /// that survive.
+    #[test]
+    fn cancelling_group_members_report_structural_sizes_on_both_paths() {
+        const POLYS: &str = "P = 2*a*x - 2*b*x + 3*c*x + 5*y";
+        const TREE: &str = "T(U(a,b),c)";
+        let mut selected = CobraSession::from_text(POLYS).unwrap();
+        selected.add_tree_text(TREE).unwrap();
+        selected.compress_frontier().unwrap();
+        let from_frontier = selected.select_bound(3).unwrap();
+        let mut one_shot = CobraSession::from_text(POLYS).unwrap();
+        one_shot.add_tree_text(TREE).unwrap();
+        one_shot.set_bound(3);
+        let compressed = one_shot.compress().unwrap();
+        assert_eq!(format!("{from_frontier:?}"), format!("{compressed:?}"));
+        // x, y, U and c
+        assert_eq!(
+            (compressed.compressed_size, compressed.compressed_vars),
+            (3, 4)
+        );
+        let all_ones = Valuation::with_default(Rat::ONE);
+        assert_eq!(
+            selected.assign(&all_ones).unwrap().rows,
+            one_shot.assign(&all_ones).unwrap().rows
+        );
+        for s in [&selected, &one_shot] {
+            assert_eq!(s.compressed_polynomials().unwrap().total_monomials(), 2);
+        }
     }
 
     #[test]

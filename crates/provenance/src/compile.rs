@@ -73,20 +73,22 @@ pub const LANES: usize = 64;
 /// width `num_locals`) is identical to the flat program's.
 #[derive(Clone, Debug)]
 pub struct EvalProgram<C: Coeff> {
-    pub(crate) labels: Vec<String>,
+    /// Result-tuple labels. Labels and the two variable tables are shared
+    /// (`Arc`) by a program, its coefficient patches and its `f64` shadow.
+    pub(crate) labels: Arc<[String]>,
     pub(crate) poly_offsets: ArcSlice<u32>,
     pub(crate) coeffs: ArcSlice<C>,
     pub(crate) term_offsets: ArcSlice<u32>,
     pub(crate) var_ids: ArcSlice<u32>,
     pub(crate) exps: ArcSlice<u32>,
     /// Local index → global variable.
-    pub(crate) locals: Vec<Var>,
+    pub(crate) locals: Arc<[Var]>,
     /// Shared-subterm rows appended after the output rows (0 for a flat
     /// program; see the type-level docs).
     pub(crate) num_slots: usize,
     /// Global variable → local index: a registry-scoped dense table, so
     /// lookups are one indexed load and binding performs no hashing.
-    pub(crate) local_of: DenseRemap,
+    pub(crate) local_of: Arc<DenseRemap>,
     /// Lazily-prepared fixed-point twin of an exact program (`None` once
     /// initialized if the program does not fit the fixed-point guards).
     /// Only meaningful for `C = Rat`; see
@@ -131,44 +133,42 @@ impl<C: Coeff> EvalProgram<C> {
         }
 
         EvalProgram {
-            labels,
+            labels: labels.into(),
             poly_offsets: poly_offsets.into(),
             coeffs: coeffs.into(),
             term_offsets: term_offsets.into(),
             var_ids: var_ids.into(),
             exps: exps.into(),
-            locals,
-            local_of,
+            locals: locals.into(),
+            local_of: Arc::new(local_of),
             num_slots: 0,
             fixed: OnceLock::new(),
         }
     }
 
-    /// Assembles a program directly from CSR parts — the constructor the
-    /// DAG rewriter ([`crate::dag`]) emits its slot rows through. The
-    /// caller guarantees CSR consistency and topological slot order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        labels: Vec<String>,
+    /// A program over this one's labels and variable tables with the given
+    /// CSR rows — the constructor the DAG rewriter ([`crate::dag`]) emits
+    /// its slot rows through. The caller guarantees CSR consistency and
+    /// topological slot order.
+    pub(crate) fn with_rows(
+        &self,
         poly_offsets: Vec<u32>,
         coeffs: Vec<C>,
         term_offsets: Vec<u32>,
         var_ids: Vec<u32>,
         exps: Vec<u32>,
-        locals: Vec<Var>,
-        local_of: DenseRemap,
         num_slots: usize,
     ) -> EvalProgram<C> {
-        debug_assert_eq!(poly_offsets.len(), labels.len() + num_slots + 1);
+        debug_assert_eq!(poly_offsets.len(), self.labels.len() + num_slots + 1);
         EvalProgram {
-            labels,
+            labels: self.labels.clone(),
             poly_offsets: poly_offsets.into(),
             coeffs: coeffs.into(),
             term_offsets: term_offsets.into(),
             var_ids: var_ids.into(),
             exps: exps.into(),
-            locals,
-            local_of,
+            locals: self.locals.clone(),
+            local_of: self.local_of.clone(),
             num_slots,
             fixed: OnceLock::new(),
         }
@@ -190,14 +190,14 @@ impl<C: Coeff> EvalProgram<C> {
     ) -> EvalProgram<C> {
         let local_of: DenseRemap = locals.iter().map(|v| v.0).collect();
         EvalProgram {
-            labels,
+            labels: labels.into(),
             poly_offsets,
             coeffs,
             term_offsets,
             var_ids,
             exps,
-            locals,
-            local_of,
+            locals: locals.into(),
+            local_of: Arc::new(local_of),
             num_slots,
             fixed: OnceLock::new(),
         }
@@ -244,53 +244,72 @@ impl<C: Coeff> EvalProgram<C> {
         set
     }
 
-    /// Rebuilds this program against `set` after a structural delta
-    /// ([`crate::delta`]): the CSR rows of untouched polynomials are
-    /// spliced over verbatim (straight `memcpy`s, no per-factor interning
-    /// or hashing), and only the polynomials listed in `touched` (sorted,
-    /// deduplicated indices into the set) are re-emitted from their
-    /// canonical term lists. New variables are appended to the local
-    /// space *after* every existing local.
+    /// This program with the rows of the polynomials in `rows` replaced —
+    /// `(index, polynomial)` pairs, sorted by index and deduplicated: the
+    /// one patch a delta applies to a compiled program, on the full side
+    /// of a session and on its compressed side alike.
     ///
-    /// The result can therefore differ from a fresh
-    /// [`compile`](Self::compile) of `set` in local numbering — but local
-    /// ids only select binding slots. Per-term factor order still follows
-    /// each monomial's canonical order and per-polynomial term order still
-    /// follows the canonical term list, so every evaluation path produces
-    /// **bit-identical** answers to the freshly compiled program, and
-    /// [`decompile`](Self::decompile) still returns exactly `set`.
+    /// * When every replaced row keeps its monomials — compared monomial
+    ///   by monomial against the CSR row, not by count — only the
+    ///   coefficient array is new. Labels, offsets, factor ids, exponents
+    ///   and the variable tables are `O(1)` shared clones
+    ///   ([`shares_shape`](Self::shares_shape)), and the result is the
+    ///   program a fresh [`compile`](Self::compile) of the patched set
+    ///   produces.
+    /// * Otherwise the CSR rows of the other polynomials are spliced over
+    ///   verbatim (straight `memcpy`s, no per-factor interning or hashing)
+    ///   and the replaced rows are re-emitted from their canonical term
+    ///   lists. New variables are appended to the local space *after*
+    ///   every existing local, so the result can differ from a fresh
+    ///   compile in local numbering — but local ids only select binding
+    ///   slots. Per-term factor order still follows each monomial's
+    ///   canonical order and per-polynomial term order the canonical term
+    ///   list, so every evaluation path produces **bit-identical** answers
+    ///   to the freshly compiled program, and
+    ///   [`decompile`](Self::decompile) returns exactly the patched set.
     ///
     /// # Panics
-    /// Panics if `set` does not have the same polynomial count (deltas
-    /// edit terms, never add or drop polynomials), or on a DAG program
-    /// (`num_slots > 0`) — deltas patch the flat program; DAG programs
-    /// are recompiled from the patched flat source.
-    pub fn patched(&self, set: &PolySet<C>, touched: &[usize]) -> EvalProgram<C> {
+    /// Panics on a polynomial index out of range, or on a DAG program
+    /// (`num_slots > 0`) — deltas patch the flat program; DAG programs are
+    /// rewritten from the patched flat source.
+    pub fn patched(&self, rows: &[(usize, &Polynomial<C>)]) -> EvalProgram<C> {
         assert_eq!(self.num_slots, 0, "cannot patch a DAG program");
-        assert_eq!(
-            set.len(),
-            self.num_polys(),
-            "patched set must keep the polynomial count"
-        );
         debug_assert!(
-            touched.windows(2).all(|w| w[0] < w[1]),
-            "touched indices must be sorted and deduplicated"
+            rows.windows(2).all(|w| w[0].0 < w[1].0),
+            "patched rows must be sorted and deduplicated"
         );
+        assert!(
+            rows.last().is_none_or(|&(p, _)| p < self.num_polys()),
+            "patched row out of range"
+        );
+        if rows.iter().all(|&(p, poly)| self.row_has_monomials(p, poly)) {
+            let mut coeffs = self.coeffs.to_vec();
+            for &(p, poly) in rows {
+                let t0 = self.poly_offsets[p] as usize;
+                for (k, (_, c)) in poly.iter().enumerate() {
+                    coeffs[t0 + k] = c.clone();
+                }
+            }
+            return EvalProgram {
+                coeffs: coeffs.into(),
+                fixed: OnceLock::new(),
+                ..self.clone()
+            };
+        }
         let mut poly_offsets = Vec::with_capacity(self.poly_offsets.len());
         let mut coeffs: Vec<C> = Vec::with_capacity(self.coeffs.len());
         let mut term_offsets: Vec<u32> = Vec::with_capacity(self.term_offsets.len());
         let mut var_ids: Vec<u32> = Vec::with_capacity(self.var_ids.len());
         let mut exps: Vec<u32> = Vec::with_capacity(self.exps.len());
-        let mut locals = self.locals.clone();
-        let mut local_of = self.local_of.clone();
+        let mut locals = self.locals.to_vec();
+        let mut local_of = (*self.local_of).clone();
 
         poly_offsets.push(0);
         term_offsets.push(0);
-        let mut next_touched = touched.iter().copied().peekable();
-        for (p, (_, poly)) in set.iter().enumerate() {
-            if next_touched.peek() == Some(&p) {
-                next_touched.next();
-                // Re-emit the patched polynomial from its canonical terms.
+        let mut rows = rows.iter().peekable();
+        for p in 0..self.num_polys() {
+            if let Some(&(_, poly)) = rows.next_if(|&&(q, _)| q == p) {
+                // Re-emit the replaced polynomial from its canonical terms.
                 for (m, c) in poly.iter() {
                     coeffs.push(c.clone());
                     for (v, e) in m.iter() {
@@ -307,7 +326,7 @@ impl<C: Coeff> EvalProgram<C> {
                     );
                 }
             } else {
-                // Splice the untouched rows: factor data verbatim, term
+                // Splice the other rows: factor data verbatim, term
                 // offsets rebased onto the new factor array.
                 let t0 = self.poly_offsets[p] as usize;
                 let t1 = self.poly_offsets[p + 1] as usize;
@@ -337,58 +356,65 @@ impl<C: Coeff> EvalProgram<C> {
             term_offsets: term_offsets.into(),
             var_ids: var_ids.into(),
             exps: exps.into(),
-            locals,
-            local_of,
+            locals: locals.into(),
+            local_of: Arc::new(local_of),
             num_slots: 0,
             fixed: OnceLock::new(),
         }
     }
 
-    /// The coefficient-only fast path of [`patched`](Self::patched): every
-    /// shape array (offsets, factor ids, exponents, locals) is shared via
-    /// `O(1)` [`ArcSlice`] clones, and only the coefficient array is
-    /// rebuilt — one `memcpy` plus the touched polynomials' values. Valid
-    /// **only** when no touched polynomial's monomial set changed
-    /// (`DeltaReport::is_structural()` is false).
+    /// [`patched`](Self::patched) for a coefficient-only delta to a whole
+    /// set: the rows of the `touched` polynomials (sorted, deduplicated
+    /// indices) read from `set`.
     ///
     /// # Panics
     /// Panics if `set`'s polynomial count differs, or a touched
-    /// polynomial's term count no longer matches its CSR row (a
-    /// structural delta routed down the coefficient-only path), or on a
-    /// DAG program (`num_slots > 0`).
+    /// polynomial's monomial set changed (a structural delta routed down
+    /// the coefficient-only path), or as [`patched`](Self::patched) does.
     pub fn patched_coeffs(&self, set: &PolySet<C>, touched: &[usize]) -> EvalProgram<C> {
-        assert_eq!(self.num_slots, 0, "cannot patch a DAG program");
         assert_eq!(
             set.len(),
             self.num_polys(),
             "patched set must keep the polynomial count"
         );
-        let mut coeffs: Vec<C> = self.coeffs.to_vec();
-        for &p in touched {
-            let poly = set.poly(p).expect("touched index in range");
-            let t0 = self.poly_offsets[p] as usize;
-            let t1 = self.poly_offsets[p + 1] as usize;
-            assert_eq!(
-                poly.num_terms(),
-                t1 - t0,
-                "coefficient-only patch requires an unchanged monomial set"
-            );
-            for (k, (_, c)) in poly.iter().enumerate() {
-                coeffs[t0 + k] = c.clone();
-            }
+        let rows: Vec<_> = touched
+            .iter()
+            .map(|&p| (p, set.poly(p).expect("touched index in range")))
+            .collect();
+        let patched = self.patched(&rows);
+        assert!(
+            patched.shares_shape(self),
+            "coefficient-only patch requires an unchanged monomial set"
+        );
+        patched
+    }
+
+    /// Whether CSR row `p` holds exactly `poly`'s monomials, in order.
+    fn row_has_monomials(&self, p: usize, poly: &Polynomial<C>) -> bool {
+        let terms = self.poly_offsets[p] as usize..self.poly_offsets[p + 1] as usize;
+        terms.len() == poly.num_terms()
+            && terms.zip(poly.iter()).all(|(t, (m, _))| {
+                let factors = self.term_offsets[t] as usize..self.term_offsets[t + 1] as usize;
+                factors.len() == m.num_vars()
+                    && factors.zip(m.iter()).all(|(f, (v, e))| {
+                        self.local_of.get(v.0) == Some(self.var_ids[f]) && self.exps[f] == e
+                    })
+            })
+    }
+
+    /// Whether `other` shares every shape array (offsets, factor ids,
+    /// exponents) with this program — the same allocations, not equal
+    /// copies: true of a coefficient-only [`patched`](Self::patched)
+    /// program and its source, and of an exact program and its `f64`
+    /// shadow.
+    pub fn shares_shape<D: Coeff>(&self, other: &EvalProgram<D>) -> bool {
+        fn same<T>(a: &ArcSlice<T>, b: &ArcSlice<T>) -> bool {
+            a.as_ptr() == b.as_ptr() && a.len() == b.len()
         }
-        EvalProgram {
-            labels: self.labels.clone(),
-            poly_offsets: self.poly_offsets.clone(),
-            coeffs: coeffs.into(),
-            term_offsets: self.term_offsets.clone(),
-            var_ids: self.var_ids.clone(),
-            exps: self.exps.clone(),
-            locals: self.locals.clone(),
-            local_of: self.local_of.clone(),
-            num_slots: 0,
-            fixed: OnceLock::new(),
-        }
+        same(&self.poly_offsets, &other.poly_offsets)
+            && same(&self.term_offsets, &other.term_offsets)
+            && same(&self.var_ids, &other.var_ids)
+            && same(&self.exps, &other.exps)
     }
 
     /// Number of polynomials.
@@ -447,7 +473,7 @@ impl<C: Coeff> EvalProgram<C> {
     /// Panics if `row.len() != num_locals()`.
     pub fn bind_into(&self, val: &Valuation<C>, row: &mut [C]) -> Result<(), Var> {
         assert_eq!(row.len(), self.num_locals(), "scenario row width");
-        for (slot, &v) in row.iter_mut().zip(&self.locals) {
+        for (slot, &v) in row.iter_mut().zip(self.locals.iter()) {
             *slot = val.get(v).ok_or(v)?;
         }
         Ok(())
@@ -547,6 +573,35 @@ impl EvalProgram<Rat> {
             num_slots: self.num_slots,
             fixed: OnceLock::new(),
         }
+    }
+
+    /// The `f64` shadow of this program derived from `prev`, the shadow of
+    /// the program this one was [`patched`](Self::patched) from: `prev`'s
+    /// coefficients with the `touched` polynomials' rows re-converted
+    /// (`Rat::to_f64` per coefficient, so bit-identical to
+    /// [`to_f64_program`](Self::to_f64_program)). `touched` must name
+    /// every row the patch replaced. `None` unless the patch kept every
+    /// shape array ([`shares_shape`](Self::shares_shape)) — a spliced
+    /// program needs a fresh conversion.
+    pub fn patched_f64(
+        &self,
+        prev: &EvalProgram<f64>,
+        touched: &[usize],
+    ) -> Option<EvalProgram<f64>> {
+        if !self.shares_shape(prev) {
+            return None;
+        }
+        let mut coeffs = prev.coeffs.to_vec();
+        for &p in touched {
+            let terms = self.poly_offsets[p] as usize..self.poly_offsets[p + 1] as usize;
+            for t in terms {
+                coeffs[t] = self.coeffs[t].to_f64();
+            }
+        }
+        Some(EvalProgram {
+            coeffs: coeffs.into(),
+            ..prev.clone()
+        })
     }
 
     /// The scaled-`i128` fixed-point twin of this exact program, prepared
@@ -1258,7 +1313,9 @@ mod tests {
         let report = set.apply_delta(&delta).unwrap();
         assert!(report.is_structural());
 
-        let patched = prog.patched(&set, &report.touched());
+        let touched = report.touched();
+        let rows: Vec<_> = touched.iter().map(|&p| (p, set.poly(p).unwrap())).collect();
+        let patched = prog.patched(&rows);
         let fresh = EvalProgram::compile(&set);
         // Same canonical set on both sides…
         assert_eq!(patched.decompile(), fresh.decompile());
@@ -1303,6 +1360,34 @@ mod tests {
         let row = patched.bind(&val).unwrap();
         assert_eq!(
             patched.eval_scenario(&row),
+            fresh.eval_scenario(&fresh.bind(&val).unwrap())
+        );
+        // The f64 shadow re-converts the touched rows of its predecessor's.
+        let shadow = prog.to_f64_program();
+        let patched64 = patched.patched_f64(&shadow, &report.touched()).unwrap();
+        assert_eq!(patched64.coeffs, patched.to_f64_program().coeffs);
+        assert!(patched64.shares_shape(&shadow));
+    }
+
+    #[test]
+    fn a_row_that_keeps_its_term_count_but_not_its_monomials_is_spliced() {
+        let (reg, set) = sample();
+        let prog = EvalProgram::compile(&set);
+        let (x, z) = (reg.lookup("x").unwrap(), reg.lookup("z").unwrap());
+        // P2 = 2·z becomes 2·x: one term before and after.
+        let p2 = Polynomial::from_terms([(Monomial::var(x), rat("2"))]);
+        let patched = prog.patched(&[(2, &p2)]);
+        assert!(!patched.shares_shape(&prog));
+        assert!(patched.patched_f64(&prog.to_f64_program(), &[2]).is_none());
+        let mut expected = set.clone();
+        *expected.poly_mut(2).unwrap() = p2;
+        assert_eq!(patched.decompile(), expected);
+        let val = Valuation::with_default(Rat::ONE)
+            .bind(x, rat("3"))
+            .bind(z, rat("5"));
+        let fresh = EvalProgram::compile(&expected);
+        assert_eq!(
+            patched.eval_scenario(&patched.bind(&val).unwrap()),
             fresh.eval_scenario(&fresh.bind(&val).unwrap())
         );
     }

@@ -459,17 +459,7 @@ fn emit<C: Coeff>(
         poly_offsets.push(u32::try_from(coeffs.len()).expect("DAG program exceeds u32 terms"));
     }
 
-    EvalProgram::from_raw_parts(
-        prog.labels().to_vec(),
-        poly_offsets,
-        coeffs,
-        term_offsets,
-        var_ids,
-        exps,
-        prog.vars().to_vec(),
-        prog.local_of.clone(),
-        ns,
-    )
+    prog.with_rows(poly_offsets, coeffs, term_offsets, var_ids, exps, ns)
 }
 
 #[cfg(test)]

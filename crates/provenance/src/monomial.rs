@@ -137,7 +137,30 @@ impl Monomial {
 
     /// Multiplies by a single variable.
     pub fn mul_var(&self, v: Var) -> Monomial {
-        self.mul(&Monomial::var(v))
+        self.mul_power(v, 1)
+    }
+
+    /// Multiplies by `v^e` (`e ≥ 1`) in one allocation — the inverse of
+    /// [`without`](Self::without).
+    ///
+    /// # Panics
+    /// Panics if the exponent sum overflows `u32`.
+    pub fn mul_power(&self, v: Var, e: u32) -> Monomial {
+        debug_assert!(e > 0, "a canonical factor has a positive exponent");
+        let mut factors = Vec::with_capacity(self.factors.len() + 1);
+        match self.factors.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                factors.extend_from_slice(&self.factors);
+                let sum = factors[i].1.checked_add(e);
+                factors[i].1 = sum.expect("monomial exponent overflows u32");
+            }
+            Err(i) => {
+                factors.extend_from_slice(&self.factors[..i]);
+                factors.push((v, e));
+                factors.extend_from_slice(&self.factors[i..]);
+            }
+        }
+        Monomial { factors }
     }
 
     /// Removes variable `v` entirely, returning the remaining monomial and
@@ -280,6 +303,11 @@ mod tests {
         let (same, zero) = m.without(Var(999));
         assert_eq!(same, m);
         assert_eq!(zero, 0);
+        // mul_power puts it back, and multiplies like `mul` otherwise
+        assert_eq!(ctx.mul_power(x, e), m);
+        for (v, e) in [(x, 3), (y, 1), (Var(999), 2)] {
+            assert_eq!(m.mul_power(v, e), m.mul(&Monomial::from_pairs([(v, e)])));
+        }
     }
 
     #[test]

@@ -37,10 +37,12 @@
 //!   factor is parsed to a polynomial of its own and the product
 //!   distributes over it; nothing else multiplies or adds polynomials.
 //! * **Bounded and checked.** Parentheses nest at most 256 deep and unary
-//!   minus is a sign flip in a loop, so no input recurses without bound;
-//!   coefficient products and sums and exponent sums are checked. Each
-//!   violation is a [`ParseError`] at the offending byte, never a panic, a
-//!   stack overflow or a wrapped value.
+//!   minus is a sign flip in a loop, so no input recurses without bound; a
+//!   product of parenthesised sums expands to at most 65,536 terms, so 30
+//!   KB of text cannot ask for 10⁹ of them; coefficient products and sums
+//!   and exponent sums are checked. Each violation is a [`ParseError`] at
+//!   the offending byte, never a panic, a stack overflow, an exhausted
+//!   memory or a wrapped value.
 
 use crate::monomial::Monomial;
 use crate::poly::Polynomial;
@@ -85,6 +87,30 @@ fn overflow(offset: usize) -> ParseError {
 /// `poly → term → poly` recursion, and 256 of them fit a 2 MiB server
 /// connection thread many times over.
 const MAX_NESTING: usize = 256;
+
+/// Most terms one product of parenthesised sums may expand to, counted
+/// before equal monomials merge: `(x1+…+x1000)*(y1+…+y1000)` (10⁶) is
+/// refused at its second `(`, before anything is multiplied.
+const MAX_PRODUCT_TERMS: usize = 1 << 16;
+
+/// `product · inner` for the parenthesised factor opened at `open` (the
+/// factor itself starts at `at`), refused past [`MAX_PRODUCT_TERMS`]. Out
+/// of line: the `poly → term → poly` recursion keeps its frames small.
+fn expand(
+    product: &Polynomial<Rat>,
+    inner: &Polynomial<Rat>,
+    open: usize,
+    at: usize,
+) -> Result<Polynomial<Rat>, ParseError> {
+    let terms = product.num_terms().saturating_mul(inner.num_terms());
+    if terms > MAX_PRODUCT_TERMS {
+        return Err(error(
+            open,
+            format!("a product of {terms} terms; at most {MAX_PRODUCT_TERMS} are expanded"),
+        ));
+    }
+    product.checked_mul(inner).ok_or_else(|| overflow(at))
+}
 
 /// One product of a sum with the offset it starts at (for the report when
 /// adding it to an equal monomial overflows).
@@ -185,10 +211,11 @@ impl Parser<'_> {
                     }
                 }
                 Some(b'(') => {
+                    let open = self.pos;
                     let inner = self.parenthesised()?;
                     nested = Some(match nested {
                         None => inner,
-                        Some(product) => product.checked_mul(&inner).ok_or_else(|| overflow(at))?,
+                        Some(product) => expand(&product, &inner, open, at)?,
                     });
                 }
                 _ => return Err(self.unexpected("a number, a variable or '('")),
@@ -532,6 +559,28 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(parsed, Ok(2));
+    }
+
+    /// A product that would expand past the cap is refused at the `(` of
+    /// the factor that crosses it, before any term is multiplied.
+    #[test]
+    fn a_product_of_sums_is_capped_before_it_expands() {
+        let sum = |v: &str, n: usize| {
+            let vars: Vec<String> = (1..=n).map(|i| format!("{v}{i}")).collect();
+            format!("({})", vars.join("+"))
+        };
+        let src = format!("{}*{}*{}", sum("x", 1000), sum("y", 1000), sum("z", 1000));
+        let mut reg = VarRegistry::new();
+        let started = std::time::Instant::now();
+        let err = parse_poly(&src, &mut reg).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err.offset, src.find(")*(").unwrap() + 2, "{err}");
+        assert!(err.message.contains("1000000 terms"), "{err}");
+        // the cap itself expands; one factor more does not
+        let at_cap = format!("{}*{}", sum("x", 256), sum("y", 256));
+        assert_eq!(parse_poly(&at_cap, &mut reg).unwrap().num_terms(), 65_536);
+        let err = parse_poly(&format!("{at_cap}*(z1+z2)"), &mut reg).unwrap_err();
+        assert_eq!(err.offset, at_cap.len() + 1, "{err}");
     }
 
     /// Text that used to wrap silently in release builds (or panic, in

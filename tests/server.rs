@@ -663,9 +663,10 @@ fn dag_armed_sessions_answer_identically_and_report_stats() {
 }
 
 /// Text from the network that used to end the whole process (a stack
-/// overflow on the connection or worker thread: `(((…`, `---…`, `[[[…`),
-/// drop the connection (a panic inside `Rat::add`), or be accepted with a
-/// wrapped coefficient or exponent (release builds). Each is now a
+/// overflow on the connection or worker thread: `(((…`, `---…`, `[[[…`;
+/// or a product of sums that expands past memory), drop the connection (a
+/// panic inside `Rat::add`), or be accepted with a wrapped coefficient or
+/// exponent (release builds). Each is now a
 /// `bad_request` naming the byte, and the same server — same connection
 /// — answers the next request.
 #[test]
@@ -676,6 +677,13 @@ fn hostile_text_is_a_bad_request_and_the_server_keeps_answering() {
     let stats = r#"{"op":"stats","session":"live"}"#;
 
     let max = i128::MAX.to_string();
+    // 30 KB that would expand to 10⁹ terms: refused at its second `(`.
+    let sum = |v: &str| {
+        let vars: Vec<String> = (1..=1000).map(|i| format!("{v}{i}")).collect();
+        format!("({})", vars.join("+"))
+    };
+    let product = format!("{}*{}*{}", sum("x"), sum("y"), sum("z"));
+    let second_paren = product.find(")*(").unwrap() + 2;
     // 100 KB of nesting, not the 1 MB of the parsers' own tests: the JSON
     // string scan in front of the polynomial parser is still quadratic
     // (ROADMAP, "Fix the serving path"), and 100,000 levels were already
@@ -686,6 +694,7 @@ fn hostile_text_is_a_bad_request_and_the_server_keeps_answering() {
         (format!("{max}*{max}*p1"), 40),
         ("p1^4294967295 * p1^4294967295".to_owned(), 16),
         (format!("{max}*p1 + {max}*p1"), 45),
+        (product, second_paren),
     ];
     for (text, offset) in &hostile {
         // as the polynomials of a new session, parsed on the connection

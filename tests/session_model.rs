@@ -1,6 +1,7 @@
 //! Stateful model test of `CobraSession`: seeded random operation
-//! sequences over small random polynomial sets — on one abstraction tree
-//! and on a two-tree forest — checked after **every** step against a
+//! sequences over small random polynomial sets — on one abstraction tree,
+//! on a two-tree forest, and on one tree with signed coefficients whose
+//! merged sums cancel — checked after **every** step against a
 //! session rebuilt from scratch over the live session's current registry
 //! and polynomials, with the same trees, plan, bound, selection and DAG
 //! mode (the [`Model`]).
@@ -408,12 +409,23 @@ fn gen_op(rng: &mut SplitMix64, s: &CobraSession, k: usize) -> Op {
 }
 
 fn run_case(seed: u64, trees: &[&'static str]) {
+    run_history(seed, trees, random_polys, gen_op);
+}
+
+/// One seeded history: polynomials from `make_polys`, then [`STEPS`] ops
+/// from `next_op`, each checked against a fresh rebuild.
+fn run_history(
+    seed: u64,
+    trees: &[&'static str],
+    make_polys: fn(&mut SplitMix64, &VarRegistry) -> PolySet<Rat>,
+    next_op: fn(&mut SplitMix64, &CobraSession, usize) -> Op,
+) {
     let mut rng = SplitMix64::new(seed);
     let mut reg = VarRegistry::new();
     for name in LEAVES.iter().chain(&MONTH_VARS).chain(&CONTEXT) {
         reg.var(name);
     }
-    let polys = random_polys(&mut rng, &reg);
+    let polys = make_polys(&mut rng, &reg);
     let probes = Probes::new(&reg);
     let mut model = Model {
         trees: trees.to_vec(),
@@ -429,7 +441,7 @@ fn run_case(seed: u64, trees: &[&'static str]) {
     let mut shadow = model.rebuild(&live);
     let mut log: Vec<String> = Vec::new();
     for k in 0..STEPS {
-        let op = gen_op(&mut rng, &live, k);
+        let op = next_op(&mut rng, &live, k);
         log.push(format!("{op:?}"));
         let got = step(&mut live, &mut model, &op);
         let want = step(&mut shadow, &mut model.clone(), &op);
@@ -486,5 +498,105 @@ fn single_tree_sessions_match_fresh_rebuilds_after_every_op() {
 fn forest_sessions_match_fresh_rebuilds_after_every_op() {
     for seed in 0..CASES {
         run_case(0xf0e5_7000 + seed, &[TREE, MONTHS]);
+    }
+}
+
+/// The leaves under each inner node of [`TREE`].
+const UNDER: [&[&str]; 3] = [&["a1", "a2", "a3"], &["b1", "b2"], &LEAVES];
+
+/// A coefficient of either sign.
+fn signed_coeff(rng: &mut SplitMix64) -> Rat {
+    let c = coeff(rng);
+    if rng.gen_range(2) == 0 {
+        -c
+    } else {
+        c
+    }
+}
+
+/// Polynomials with signed coefficients, half of them seeded with a pair
+/// of `A` leaves whose coefficients cancel under any cut above `a1, a2`.
+fn signed_polys(rng: &mut SplitMix64, reg: &VarRegistry) -> PolySet<Rat> {
+    let var = |name: &str| reg.lookup(name).unwrap();
+    let mut set = PolySet::new();
+    for p in 0..2 + rng.gen_range(2) {
+        let mut terms: Vec<(Monomial, Rat)> = (0..3 + rng.gen_range(6))
+            .map(|_| (monomial(rng, reg), signed_coeff(rng)))
+            .collect();
+        if rng.gen_range(2) == 0 {
+            let (context, c) = (var(pick(rng, &CONTEXT)), signed_coeff(rng));
+            terms.push((Monomial::from_pairs([(var("a1"), 1), (context, 1)]), c));
+            terms.push((Monomial::from_pairs([(var("a2"), 1), (context, 1)]), -c));
+        }
+        set.push(format!("P{p}"), Polynomial::from_terms(terms));
+    }
+    set
+}
+
+/// A coefficient-only edit of one existing term: mostly the coefficient
+/// that drives the sum of its group's members under one inner node to
+/// zero, otherwise a fresh signed coefficient — which un-cancels a sum an
+/// earlier edit drove to zero.
+fn cancelling_delta(rng: &mut SplitMix64, s: &CobraSession) -> PolyDelta<Rat> {
+    let (set, reg) = (s.polynomials(), s.registry());
+    let mut delta = PolyDelta::new();
+    let Some((p, m)) = existing_term(rng, set) else {
+        return delta;
+    };
+    let leaf = LEAVES
+        .into_iter()
+        .find(|&name| m.contains(reg.lookup(name).unwrap()));
+    let mut c = signed_coeff(rng);
+    if let Some(leaf) = leaf.filter(|_| rng.gen_range(4) > 0) {
+        let nodes: Vec<&[&str]> = UNDER.into_iter().filter(|n| n.contains(&leaf)).collect();
+        let node = nodes[rng.gen_range(nodes.len() as u64) as usize];
+        let group = m.without(reg.lookup(leaf).unwrap());
+        let others: Rat = (set.poly(p).unwrap().terms().iter())
+            .filter(|(n, _)| *n != m)
+            .filter(|(n, _)| {
+                let member = |name: &&str| {
+                    let v = reg.lookup(name).unwrap();
+                    n.contains(v) && n.without(v) == group
+                };
+                node.iter().any(member)
+            })
+            .map(|(_, c)| *c)
+            .sum();
+        if others != Rat::ZERO {
+            c = -others;
+        }
+    }
+    delta.set(p, m, c);
+    delta
+}
+
+/// Mostly hops between planned frontier points, so stashed points see
+/// deltas before they are re-selected.
+fn gen_signed_op(rng: &mut SplitMix64, s: &CobraSession, k: usize) -> Op {
+    let total = s.polynomials().total_monomials() as u64;
+    let sizes: Vec<u64> = s
+        .frontier()
+        .map_or(Vec::new(), |f| f.points().iter().map(|p| p.size).collect());
+    match rng.gen_range(100) {
+        0..=7 => Op::Plan,
+        8..=29 if !sizes.is_empty() => Op::SelectBound(pick(rng, &sizes)),
+        8..=44 => Op::SelectBound(1 + rng.gen_range(total + 2)),
+        45..=50 => Op::SetBoundCompress(1 + rng.gen_range(total + 2)),
+        51..=88 => Op::Delta(cancelling_delta(rng, s)),
+        89..=94 => Op::Delta(structural_delta(rng, s)),
+        95..=96 => Op::Intern(format!("user{k}")),
+        _ => Op::SnapshotRestore,
+    }
+}
+
+/// Signed coefficients on one tree: coefficient-only deltas drive merged
+/// coefficients to zero and back, so the compressed side is patched in
+/// place, spliced where a merged term cancels or returns, and stashed
+/// points absorb the deltas when re-selected — every step against a
+/// fresh rebuild, and every report structural on both selection paths.
+#[test]
+fn single_tree_sessions_with_cancelling_coefficients_match_fresh_rebuilds() {
+    for seed in 0..CASES {
+        run_history(0xca9c_e100 + seed, &[TREE], signed_polys, gen_signed_op);
     }
 }
