@@ -21,6 +21,13 @@ impl Cut {
     pub fn new(tree: &AbstractionTree, mut nodes: Vec<NodeId>) -> Result<Cut> {
         nodes.sort_unstable();
         nodes.dedup();
+        if let Some(n) = nodes.iter().find(|n| n.index() >= tree.num_nodes()) {
+            return Err(CoreError::InvalidCut(format!(
+                "node #{} is outside a tree of {} nodes",
+                n.0,
+                tree.num_nodes()
+            )));
+        }
         // Every leaf must be covered exactly once. Count covering nodes per
         // leaf position via each cut node's leaf range.
         let mut cover = vec![0u32; tree.num_leaves()];
@@ -105,11 +112,8 @@ impl Cut {
         reg: &mut VarRegistry,
         reserved: &FxHashSet<Var>,
     ) -> (FxHashMap<Var, Var>, Vec<MetaVar>) {
-        let mut subst = FxHashMap::default();
-        let mut metas = Vec::with_capacity(self.nodes.len());
-        for &node in &self.nodes {
-            let leaves = tree.leaves_under(node);
-            let var = match tree.leaf_var(node) {
+        let vars: Vec<Var> = (self.nodes.iter())
+            .map(|&node| match tree.leaf_var(node) {
                 Some(v) => v, // cut at a leaf: identity
                 None => {
                     let name = tree.node_name(node).to_owned();
@@ -120,7 +124,38 @@ impl Cut {
                         candidate
                     }
                 }
+            })
+            .collect();
+        self.substitution_with(tree, reg, &vars)
+            .expect("freshly chosen meta-variables are valid")
+    }
+
+    /// The substitution of [`substitution`](Self::substitution) with the
+    /// meta-variables already chosen, one per cut node in order — how a
+    /// persisted selection reproduces the identities it was compiled
+    /// against. `None` unless there is one registered variable per node,
+    /// each leaf node keeps its own variable, and no inner node's
+    /// variable is a leaf of the tree.
+    pub fn substitution_with(
+        &self,
+        tree: &AbstractionTree,
+        reg: &VarRegistry,
+        vars: &[Var],
+    ) -> Option<(FxHashMap<Var, Var>, Vec<MetaVar>)> {
+        if vars.len() != self.nodes.len() {
+            return None;
+        }
+        let mut subst = FxHashMap::default();
+        let mut metas = Vec::with_capacity(self.nodes.len());
+        for (&node, &var) in self.nodes.iter().zip(vars) {
+            let valid = match tree.leaf_var(node) {
+                Some(leaf) => var == leaf,
+                None => var.index() < reg.len() && !tree.contains_var(var),
             };
+            if !valid {
+                return None;
+            }
+            let leaves = tree.leaves_under(node);
             for &leaf in leaves {
                 if leaf != var {
                     subst.insert(leaf, var);
@@ -133,7 +168,7 @@ impl Cut {
                 leaves: leaves.to_vec(),
             });
         }
-        (subst, metas)
+        Some((subst, metas))
     }
 }
 

@@ -2,50 +2,73 @@
 //! [`cobra_provenance::persist`] artifact and re-hydrate it — zero-copy —
 //! into a session that answers **bit-identically**.
 //!
-//! A snapshot captures everything a single-tree session derived that is
-//! expensive or impossible to recompute cheaply:
+//! A snapshot captures what the derived-state table of
+//! [`CobraSession`](crate::session) calls state, plus the engines that are
+//! expensive to rebuild:
 //!
 //! * the variable registry (names in registration order, so re-registering
 //!   reproduces identical [`Var`] ids),
 //! * the abstraction-tree source text,
 //! * the base valuation,
 //! * the planned Pareto frontier (per-point cut node ids) together with
-//!   the per-node group weights and invariant-variable count that bound
-//!   re-selection needs,
-//! * the compiled full-side programs (exact and `f64`), and
-//! * any warm compressed-side engines accumulated by bound hopping.
+//!   the per-node group weights, invariant-variable count and reserved
+//!   variables that bound re-selection needs,
+//! * the compiled full-side programs (exact and `f64`),
+//! * the warm compressed-side engines accumulated by bound hopping, each
+//!   with the meta-variable identities it was compiled against, and
+//! * (format v3) the selection: the bound of a frontier selection, whose
+//!   point's engines ride in the warm directory like any stashed point's.
 //!
-//! The input polynomials are **not** persisted: a restored session carries
-//! the full compiled program and decompiles it lazily on the rare path
-//! that needs polynomial form (a cold frontier selection's group
-//! analysis). Restoring from a [`LoadedArtifact`] aliases the mapped file
-//! for every CSR array — the cold-start cost is one `mmap` plus header
-//! validation, not a recompilation (the benchmark's `reload_p25_ms`
-//! against `prepare_p25_ms` is the gap).
+//! Restoring ends with [`select_bound`](CobraSession::select_bound) at the
+//! persisted bound, which re-installs the selected point from the warm
+//! stash: a restored session answers at once, and a
+//! [`warm_up`](CobraSession::warm_up) after it has nothing left to build.
+//!
+//! Re-derived instead of stored: the input polynomials (a restored
+//! session carries the full compiled program and decompiles it on the
+//! first path that needs polynomial form), the group analysis (built from
+//! them on the first cold selection or coefficient-only delta), the
+//! planner's DP tables (a structural delta replans from scratch), DAG
+//! programs (deterministic rewrites; only the flag persists), and one-shot
+//! [`compress`](CobraSession::compress) selections and forest staircases,
+//! which do not persist. v1 and v2 artifacts restore with no selection.
+//!
+//! Restoring from a [`LoadedArtifact`] aliases the mapped file for every
+//! CSR array — the cold-start cost is one `mmap` plus header validation,
+//! not a recompilation (the benchmark's `reload_p25_ms` against
+//! `prepare_p25_ms` is the gap).
 //!
 //! ```
 //! use cobra_core::{restore_session_from_bytes, snapshot_session, CobraSession};
+//! use cobra_provenance::Valuation;
+//! use cobra_util::Rat;
 //!
 //! let mut session = CobraSession::from_text(
 //!     "P1 = 208.8*p1*m1 + 240*p1*m3 + 42*v*m1 + 24.2*v*m3",
 //! ).unwrap();
 //! session.add_tree_text("Plans(Standard(p1,p2), v)").unwrap();
 //! session.compress_frontier().unwrap();
+//! session.select_bound(2).unwrap();
 //! let bytes = snapshot_session(&session).unwrap();
-//! let mut restored = restore_session_from_bytes(&bytes).unwrap();
-//! let report = restored.select_bound(2).unwrap();
-//! assert_eq!(report.compressed_size, session.select_bound(2).unwrap().compressed_size);
+//! let restored = restore_session_from_bytes(&bytes).unwrap();
+//! // The selection came back with the session: it answers at once.
+//! assert_eq!(restored.info().bound, Some(2));
+//! let all_ones = Valuation::with_default(Rat::ONE);
+//! assert_eq!(
+//!     restored.assign(&all_ones).unwrap().rows,
+//!     session.assign(&all_ones).unwrap().rows
+//! );
 //! ```
 
 use crate::cut::Cut;
 use crate::error::{CoreError, Result};
 use crate::planner::{CutFrontier, FrontierPoint};
 use crate::session::{CobraSession, Plan, PlanKind, TreePlan, WarmPoint};
-use crate::tree::AbstractionTree;
-use cobra_provenance::persist::{self, tags};
+use crate::tree::{AbstractionTree, NodeId};
+use cobra_provenance::persist::{self, tags, EvalProgramRef};
 use cobra_provenance::{
-    ArtifactReader, ArtifactWriter, BatchEvaluator, LoadedArtifact, PolySet, Valuation, Var,
-    VarRegistry,
+    ArtifactReader, ArtifactWriter, BatchEvaluator, EvalProgram, LoadedArtifact, PolySet,
+    Valuation, Var, VarRegistry,
 };
 use cobra_util::{AlignedBytes, FxHashMap, Rat};
 use std::any::Any;
@@ -93,14 +116,49 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
     let full_rat = session.full_engine_in(false);
     let full_f64 = session.full_f64_in(false);
 
+    // The frontier selection persists as its bound, and its point's
+    // engines as one more warm entry: restoring re-installs it from the
+    // stash, as any re-selection does. One-shot compressions do not
+    // persist.
+    let selected = plan.and_then(|p| p.selected);
+    let installed = selected.zip(session.compressed.as_ref()).and_then(|(idx, c)| {
+        let compressed = c.cells.flat.engines.get()?.compressed.clone();
+        let f64 = c.cells.flat.f64.get().cloned();
+        let stale = Vec::new();
+        Some((idx, WarmPoint { compressed, f64, stale }))
+    });
     // Deterministic warm-engine order (the map iterates arbitrarily),
     // each entry with the deltas it has not absorbed yet patched in.
+    let skip = installed.as_ref().map(|&(idx, _)| idx);
     let mut warm: Vec<(usize, WarmPoint)> = (state.warm.keys())
+        .filter(|&&i| Some(i) != skip)
         .map(|&i| (i, session.warm_point(i).expect("a listed stash entry")))
+        .chain(installed)
         .collect();
     warm.sort_unstable_by_key(|&(i, _)| i);
 
-    let mut w = ArtifactWriter::new();
+    // The variables a re-selection must not alias a meta-variable onto:
+    // the plan's, plus any interned since it last synced them.
+    let tail = state.reg_len_at_plan as u32..session.reg.len() as u32;
+    let mut reserved: Vec<u32> = state.reserved.iter().map(|v| v.0).chain(tail).collect();
+    reserved.sort_unstable();
+
+    let programs = [full_rat.program()]
+        .into_iter()
+        .chain(warm.iter().map(|(_, p)| p.compressed.program()));
+    let bytes: usize = programs
+        .map(|p| persist::program_len(p) + persist::shadow_len(p))
+        .sum();
+    let names: usize = session.reg.iter().map(|(_, name)| 8 + name.len()).sum();
+    let cuts: usize = state.frontier.points().iter().map(|p| p.cut.len()).sum();
+    let session_len = names
+        + tree_text.len()
+        + 48 * (session.base_valuation.len() + 1)
+        + 8 * state.node_weight.len()
+        + 4 * (reserved.len() + 2 * cuts)
+        + 32 * (state.frontier.len() + warm.len())
+        + 128;
+    let mut w = ArtifactWriter::with_capacity(3 + 2 * warm.len(), session_len + bytes);
     w.begin_section(tags::SESSION);
 
     // Registry: names in registration order re-register to identical ids.
@@ -152,12 +210,17 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
         w.put_u32_slice(&nodes);
     }
 
-    // Warm engine directory: frontier index + whether an f64 shadow rides
-    // along; the programs themselves go in per-engine sections.
+    // Warm engine directory: frontier index, whether an f64 shadow rides
+    // along, and (v3) the point's meta-variables, one per cut node — none
+    // for a point whose identities were never memoized. The programs
+    // themselves go in per-engine sections.
     w.put_u32(warm.len() as u32);
     for (idx, point) in &warm {
         w.put_u32(*idx as u32);
         w.put_u32(u32::from(point.f64.is_some()));
+        let metas = state.subs.get(idx).map_or(&[][..], |(_, metas)| metas);
+        let vars: Vec<u32> = metas.iter().map(|m| m.var.0).collect();
+        w.put_u32_slice(&vars);
     }
 
     // v2: whether algebraic (DAG) compression was armed. The DAG programs
@@ -165,13 +228,24 @@ pub fn snapshot_session(session: &CobraSession) -> Result<Vec<u8>> {
     // only the flag persists — restore re-derives them lazily.
     w.put_u32(u32::from(session.dag_mode));
 
+    // v3: the reserved variables, then the selection's bound, if any.
+    w.put_u32_slice(&reserved);
+    match selected.and(session.bound) {
+        Some(bound) => {
+            w.put_u32(1);
+            w.put_u64(bound);
+        }
+        None => w.put_u32(0),
+    }
+
     persist::write_program(&mut w, tags::PROGRAM_RAT, full_rat.program());
-    persist::write_program(&mut w, tags::PROGRAM_F64, full_f64.program());
+    persist::write_shadow(&mut w, tags::PROGRAM_F64, full_rat.program(), full_f64.program());
     for (k, (_, point)) in warm.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
-        persist::write_program(&mut w, base, point.compressed.program());
+        let exact = point.compressed.program();
+        persist::write_program(&mut w, base, exact);
         if let Some(shadow) = &point.f64 {
-            persist::write_program(&mut w, base + 1, shadow.program());
+            persist::write_shadow(&mut w, base + 1, exact, shadow.program());
         }
     }
     Ok(w.finish())
@@ -201,10 +275,38 @@ pub fn restore_session_from_bytes(bytes: &[u8]) -> Result<CobraSession> {
     restore_from_reader(&reader, buf.clone())
 }
 
+/// A persisted rational, rejected unless its denominator is positive.
+fn get_rat(s: &mut persist::SectionReader<'_>) -> Result<Rat> {
+    let num = s.get_i128().map_err(persist_err)?;
+    let den = s.get_i128().map_err(persist_err)?;
+    if den <= 0 {
+        return Err(persist_err("a rational with a non-positive denominator"));
+    }
+    Ok(Rat::new(num, den))
+}
+
+/// A persisted flat program over `reg`'s variables, aliasing the
+/// artifact. The checks are what evaluation relies on beyond the CSR
+/// validation of [`persist::read_program_ref`].
+fn load_program(
+    view: &EvalProgramRef<'_, Rat>,
+    reg: &VarRegistry,
+    owner: &Arc<dyn Any + Send + Sync>,
+) -> Result<EvalProgram<Rat>> {
+    if view.num_slots != 0 {
+        return Err(persist_err("a persisted program has shared-subterm slots"));
+    }
+    if view.locals.iter().any(|&v| v as usize >= reg.len()) {
+        return Err(persist_err("a program mentions an unregistered variable"));
+    }
+    Ok(view.to_program(owner.clone()))
+}
+
 fn restore_from_reader(
     reader: &ArtifactReader<'_>,
     owner: Arc<dyn Any + Send + Sync>,
 ) -> Result<CobraSession> {
+    let v3 = reader.version() >= 3;
     let mut s = reader.section(tags::SESSION).map_err(persist_err)?;
 
     // Registry: re-registering the persisted names in order reproduces
@@ -223,11 +325,7 @@ fn restore_from_reader(
 
     let mut base_valuation = match s.get_u32().map_err(persist_err)? {
         0 => Valuation::new(),
-        _ => {
-            let num = s.get_i128().map_err(persist_err)?;
-            let den = s.get_i128().map_err(persist_err)?;
-            Valuation::with_default(Rat::new(num, den))
-        }
+        _ => Valuation::with_default(get_rat(&mut s)?),
     };
     let num_bindings = s.get_u32().map_err(persist_err)?;
     for _ in 0..num_bindings {
@@ -235,35 +333,38 @@ fn restore_from_reader(
         if var.index() >= reg.len() {
             return Err(persist_err("valuation binds an unregistered variable"));
         }
-        let num = s.get_i128().map_err(persist_err)?;
-        let den = s.get_i128().map_err(persist_err)?;
-        base_valuation.set(var, Rat::new(num, den));
+        base_valuation.set(var, get_rat(&mut s)?);
     }
 
     let num_weights = s.get_u32().map_err(persist_err)?;
-    let mut node_weight = Vec::with_capacity(num_weights as usize);
+    if num_weights as usize != tree.num_nodes() {
+        return Err(persist_err("node weights do not match the tree"));
+    }
+    let mut node_weight = Vec::with_capacity(tree.num_nodes());
     for _ in 0..num_weights {
         node_weight.push(s.get_u64().map_err(persist_err)?);
     }
     let invariant_vars = s.get_u32().map_err(persist_err)? as usize;
 
+    // Each point takes at least 24 bytes, each warm entry 8: a count the
+    // section cannot hold fails on the first missing field, not in the
+    // allocator.
     let num_points = s.get_u32().map_err(persist_err)?;
-    let mut points = Vec::with_capacity(num_points as usize);
+    let mut points = Vec::with_capacity((num_points as usize).min(s.remaining() / 24));
     for _ in 0..num_points {
         let variables = s.get_u64().map_err(persist_err)? as usize;
         let size = s.get_u64().map_err(persist_err)?;
-        let nodes: Vec<crate::tree::NodeId> = s
-            .get_u32_slice()
-            .map_err(persist_err)?
-            .iter()
-            .map(|&n| crate::tree::NodeId(n))
-            .collect();
-        let cut = Cut::new(&tree, nodes)?;
+        let nodes = s.get_u32_slice().map_err(persist_err)?;
+        let cut = Cut::new(&tree, nodes.iter().map(|&n| NodeId(n)).collect())?;
         points.push(FrontierPoint {
             variables,
             size,
             cut,
         });
+    }
+    let ascending = points.windows(2).all(|w| w[0].variables < w[1].variables);
+    if points.is_empty() || !ascending {
+        return Err(persist_err("frontier points are not a Pareto staircase"));
     }
     let frontier = CutFrontier::from_points(points);
     if frontier.len() != num_points as usize {
@@ -271,7 +372,8 @@ fn restore_from_reader(
     }
 
     let num_warm = s.get_u32().map_err(persist_err)?;
-    let mut warm_dir = Vec::with_capacity(num_warm as usize);
+    let mut warm_dir = Vec::with_capacity((num_warm as usize).min(s.remaining() / 8));
+    let mut subs = FxHashMap::default();
     for _ in 0..num_warm {
         let idx = s.get_u32().map_err(persist_err)? as usize;
         let has_f64 = s.get_u32().map_err(persist_err)? != 0;
@@ -279,6 +381,16 @@ fn restore_from_reader(
             return Err(persist_err(
                 "warm engine for an out-of-range frontier index",
             ));
+        }
+        // v3: the meta-variables the point's engines were compiled
+        // against; a point that never memoized them has none.
+        let metas = if v3 { s.get_u32_slice().map_err(persist_err)? } else { &[] };
+        if !metas.is_empty() {
+            let vars: Vec<Var> = metas.iter().map(|&v| Var(v)).collect();
+            let sub = (frontier.points()[idx].cut)
+                .substitution_with(&tree, &reg, &vars)
+                .ok_or_else(|| persist_err("a warm point's meta-variables do not fit its cut"))?;
+            subs.insert(idx, sub);
         }
         warm_dir.push((idx, has_f64));
     }
@@ -290,69 +402,97 @@ fn restore_from_reader(
     } else {
         false
     };
-
-    let load = |tag: u32| -> Result<BatchEvaluator<Rat>> {
-        let prog = persist::read_program_ref::<Rat>(reader, tag).map_err(persist_err)?;
-        Ok(BatchEvaluator::new(prog.to_program(owner.clone())))
-    };
-    let load_f64 = |tag: u32| -> Result<BatchEvaluator<f64>> {
-        let prog = persist::read_program_ref::<f64>(reader, tag).map_err(persist_err)?;
-        Ok(BatchEvaluator::new(prog.to_program(owner.clone())))
+    // v3: the reserved variables and the selection's bound.
+    let (reserved, bound) = if v3 {
+        let reserved = s.get_u32_slice().map_err(persist_err)?;
+        if reserved.iter().any(|&v| v as usize >= reg.len()) {
+            return Err(persist_err("a reserved variable is unregistered"));
+        }
+        let bound = match s.get_u32().map_err(persist_err)? {
+            0 => None,
+            _ => Some(s.get_u64().map_err(persist_err)?),
+        };
+        (Some(reserved), bound)
+    } else {
+        (None, None)
     };
 
     let full = persist::read_program_ref::<Rat>(reader, tags::PROGRAM_RAT).map_err(persist_err)?;
+    let full_program = load_program(&full, &reg, &owner)?;
+    // Every term in the tree's setting: at most one leaf each, or a later
+    // group analysis of the decompiled polynomials could not run.
+    let is_leaf: Vec<bool> = (full.locals.iter()).map(|&v| tree.contains_var(Var(v))).collect();
+    let spans = full.term_offsets.windows(2).any(|t| {
+        let factors = &full.var_ids[t[0] as usize..t[1] as usize];
+        factors.iter().filter(|&&v| is_leaf[v as usize]).count() > 1
+    });
+    if spans {
+        return Err(persist_err("a term mentions two leaves of the tree"));
+    }
     // The variables the terms mention: a delta-patched program keeps the
     // locals whose last term was deleted, so its variable table can
     // overcount the provenance's distinct variables.
-    let mut mentioned = vec![false; full.locals.len() + full.num_slots];
+    let mut mentioned = vec![false; full.locals.len()];
     for &v in full.var_ids {
         mentioned[v as usize] = true;
     }
-    let original_vars = mentioned[..full.locals.len()]
-        .iter()
-        .filter(|&&m| m)
-        .count();
-    let full_rat_engine = BatchEvaluator::new(full.to_program(owner.clone()));
-    let full_f64_engine = load_f64(tags::PROGRAM_F64)?;
-    if node_weight.len() != tree.num_nodes() {
-        return Err(persist_err("node weights do not match the tree"));
-    }
+    let original_vars = mentioned.iter().filter(|&&m| m).count();
+    let full_f64 = persist::read_shadow(reader, tags::PROGRAM_F64, &full_program, owner.clone())
+        .map_err(persist_err)?;
 
     let mut warm: FxHashMap<usize, WarmPoint> = FxHashMap::default();
     for (k, &(idx, has_f64)) in warm_dir.iter().enumerate() {
         let base = tags::WARM_BASE + 2 * k as u32;
+        let view = persist::read_program_ref::<Rat>(reader, base).map_err(persist_err)?;
+        let compressed = load_program(&view, &reg, &owner)?;
+        if compressed.num_polys() != full_program.num_polys() {
+            return Err(persist_err("a warm engine's polynomials differ from the full side's"));
+        }
+        let f64 = if has_f64 {
+            let shadow = persist::read_shadow(reader, base + 1, &compressed, owner.clone());
+            Some(BatchEvaluator::new(shadow.map_err(persist_err)?))
+        } else {
+            None
+        };
         let point = WarmPoint {
-            compressed: load(base)?,
-            f64: if has_f64 { Some(load_f64(base + 1)?) } else { None },
+            compressed: BatchEvaluator::new(compressed),
+            f64,
             stale: Vec::new(),
         };
         warm.insert(idx, point);
     }
 
+    // Before v3 the reserved set was not persisted: the provenance's own
+    // variables are.
+    let reserved = match reserved {
+        Some(vars) => vars.iter().map(|&v| Var(v)).collect(),
+        None => full_program.vars().iter().copied().collect(),
+    };
     // Derivable from the persisted full program — never stored.
     let plan = TreePlan {
-        // Re-analyzed only if a cold selection materializes polynomials.
+        // Analyzed only if a cold selection or a coefficient-only delta
+        // needs it.
         analysis: OnceCell::new(),
         node_weight,
         frontier,
-        reserved: full_rat_engine.program().vars().iter().copied().collect(),
+        reserved,
         invariant_vars,
         // DP tables are not persisted: the first structural delta on a
         // re-hydrated session replans from scratch (and snapshots).
         plan_snapshot: None,
         reg_len_at_plan: reg.len(),
-        subs: FxHashMap::default(),
+        subs,
         warm,
     };
-    let original_size = full_rat_engine.program().num_terms() as u64;
+    let original_size = full_program.num_terms() as u64;
     let mut session = CobraSession::new(reg, PolySet::new());
     // No polynomials: decompiled from the full engine on first need.
     session.polys = OnceCell::new();
     session.base_valuation = base_valuation;
     session.trees.push(tree);
     session.tree_texts.push(Some(tree_text));
-    session.full.flat.rat = full_rat_engine.into();
-    session.full.flat.f64 = full_f64_engine.into();
+    session.full.flat.rat = BatchEvaluator::new(full_program).into();
+    session.full.flat.f64 = BatchEvaluator::new(full_f64).into();
     session.plan = Some(Plan {
         original_vars,
         original_size,
@@ -360,6 +500,13 @@ fn restore_from_reader(
         kind: PlanKind::Tree(Box::new(plan)),
     });
     session.dag_mode = dag_mode;
+    // The one way a selection is installed: the persisted point is in the
+    // warm stash, so this re-selection builds nothing.
+    if let Some(bound) = bound {
+        session
+            .select_bound(bound)
+            .map_err(|e| persist_err(format!("the persisted selection: {e}")))?;
+    }
     Ok(session)
 }
 
@@ -481,6 +628,121 @@ P2 = 100*p2*m1 + 70.4*p2*m3 + 42*v*m1 + 24.2*v*m3";
             restored.select_bound(bound).unwrap();
             assert_eq!(sweep_totals(&fresh), sweep_totals(&restored));
         }
+    }
+
+    /// The program behind the current selection's flat compressed engine.
+    fn selected_program(s: &CobraSession) -> &cobra_provenance::EvalProgram<Rat> {
+        let state = s.compressed.as_ref().expect("a selection");
+        state.cells.flat.engines.get().expect("installed").compressed.program()
+    }
+
+    #[test]
+    fn the_selection_comes_back_installed() {
+        let mut fresh = planned_session();
+        fresh.select_bound(4).unwrap();
+        fresh.warm_up().unwrap();
+        let bytes = snapshot_session(&fresh).unwrap();
+        let restored = restore_session_from_bytes(&bytes).unwrap();
+        let info = restored.info();
+        assert_eq!(info.bound, Some(4));
+        assert_eq!(info.compressed_size, fresh.info().compressed_size);
+        assert!(info.hydrated, "installing the selection decompiles nothing");
+        assert_eq!(
+            format!("{:?}", restored.report(None).unwrap()),
+            format!("{:?}", fresh.report(None).unwrap())
+        );
+        // Every engine of the selection was installed from the warm
+        // stash, so warm_up has nothing left to build.
+        let state = restored.compressed.as_ref().unwrap();
+        let f64: *const _ = state.cells.flat.f64.get().expect("installed shadow").program();
+        let compressed: *const _ = selected_program(&restored);
+        restored.warm_up().unwrap();
+        assert!(std::ptr::eq(selected_program(&restored), compressed));
+        let state = restored.compressed.as_ref().unwrap();
+        assert!(std::ptr::eq(state.cells.flat.f64.get().unwrap().program(), f64));
+        assert_eq!(sweep_totals(&fresh), sweep_totals(&restored));
+    }
+
+    #[test]
+    fn shadows_share_their_exact_programs_shape() {
+        let mut fresh = planned_session();
+        fresh.select_bound(4).unwrap();
+        fresh.warm_up().unwrap();
+        let restored = restore_session_from_bytes(&snapshot_session(&fresh).unwrap()).unwrap();
+        let full = restored.full_engine_in(false).program();
+        assert!(restored.full_f64_in(false).program().shares_shape(full));
+        let state = restored.compressed.as_ref().unwrap();
+        let shadow = state.cells.flat.f64.get().unwrap().program();
+        assert!(shadow.shares_shape(selected_program(&restored)));
+    }
+
+    #[test]
+    fn a_coefficient_delta_after_restore_patches_the_selection() {
+        let mut fresh = planned_session();
+        fresh.select_bound(4).unwrap();
+        fresh.warm_up().unwrap();
+        let mut restored =
+            restore_session_from_bytes(&snapshot_session(&fresh).unwrap()).unwrap();
+        let before = selected_program(&restored).clone();
+        let (p2, m3) = (restored.registry_mut().var("p2"), restored.registry_mut().var("m3"));
+        let idx = restored.polynomials().index_of("P2").unwrap();
+        let mut delta = cobra_provenance::PolyDelta::new();
+        let march = cobra_provenance::Monomial::from_pairs([(p2, 1), (m3, 1)]);
+        delta.set(idx, march, Rat::new(703, 10));
+        assert!(!restored.apply_delta(&delta).unwrap().is_structural());
+        fresh.apply_delta(&delta).unwrap();
+        // Patched in place through the group analysis, not dropped.
+        assert!(selected_program(&restored).shares_shape(&before));
+        assert!(!std::ptr::eq(selected_program(&restored), &before));
+        assert_eq!(sweep_totals(&fresh), sweep_totals(&restored));
+    }
+
+    #[test]
+    fn restored_meta_variables_never_alias_user_variables() {
+        // "Plans" is interned by the user after planning: the coarsest
+        // point's meta-variable gets a fresh name, and a restored session
+        // must reuse that identity rather than alias the user's variable.
+        let mut fresh = planned_session();
+        let user = fresh.registry_mut().var("Plans");
+        let sizes: Vec<u64> = (fresh.frontier().unwrap().points().iter())
+            .map(|p| p.size)
+            .collect();
+        let (coarse, fine) = (sizes[0], sizes[sizes.len() - 1]);
+        fresh.select_bound(coarse).unwrap();
+        fresh.warm_up().unwrap();
+        fresh.select_bound(fine).unwrap(); // stash the coarsest point
+        let mut restored =
+            restore_session_from_bytes(&snapshot_session(&fresh).unwrap()).unwrap();
+        let p1 = fresh.registry_mut().var("p1");
+        let scenario = (Valuation::with_default(Rat::ONE))
+            .bind(user, Rat::int(17))
+            .bind(p1, Rat::int(2));
+        for s in [&mut fresh, &mut restored] {
+            s.select_bound(coarse).unwrap();
+            assert!(s.compressed.as_ref().unwrap().meta_vars.iter().all(|m| m.var != user));
+        }
+        assert_eq!(
+            fresh.assign(&scenario).unwrap().rows,
+            restored.assign(&scenario).unwrap().rows
+        );
+    }
+
+    #[test]
+    fn a_zero_denominator_is_a_typed_error() {
+        let mut fresh = planned_session();
+        fresh.set_base_valuation(Valuation::with_default(Rat::new(7, 3)));
+        let mut bytes = snapshot_session(&fresh).unwrap();
+        let default: Vec<u8> = [7i128, 3].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let at = (bytes.windows(32).position(|w| w == default.as_slice()))
+            .expect("the default valuation is in the artifact")
+            + 16;
+        bytes[at..at + 16].fill(0);
+        let checksum = persist::fnv1a64(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            restore_session_from_bytes(&bytes),
+            Err(CoreError::Session(_))
+        ));
     }
 
     #[test]

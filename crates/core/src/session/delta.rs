@@ -207,14 +207,13 @@ impl CobraSession {
 
     /// A frontier selection's flat cells patched for a coefficient-only
     /// delta to the polynomials `touched` ([`patched_point`]); empty —
-    /// rebuilt lazily — when nothing was compiled or the plan has no group
-    /// analysis.
+    /// rebuilt lazily — when nothing was compiled.
     ///
     /// [`patched_point`]: Self::patched_point
     pub(super) fn patched_cells(&self, state: &Compressed, touched: &[usize]) -> CompCells {
         let cut = state.lazy_cut.as_ref().expect("a frontier selection");
         let flat = &state.cells.flat;
-        let point = (flat.engines.get()).and_then(|engines| {
+        let point = (flat.engines.get()).map(|engines| {
             let f64 = flat.f64.get();
             self.patched_point(&engines.compressed, f64, cut, &state.meta_vars, touched)
         });
@@ -230,8 +229,7 @@ impl CobraSession {
     /// ([`patched`](cobra_provenance::EvalProgram::patched): the shape
     /// arrays stay shared unless a merged coefficient cancelled to zero or
     /// un-cancelled); the `f64` shadow re-converts those rows, or is left
-    /// to rebuild lazily after a splice. `None` when the plan has no group
-    /// analysis.
+    /// to rebuild lazily after a splice.
     pub(super) fn patched_point(
         &self,
         compressed: &BatchEvaluator<Rat>,
@@ -239,9 +237,10 @@ impl CobraSession {
         cut: &Cut,
         meta_vars: &[MetaVar],
         touched: &[usize],
-    ) -> Option<WarmPoint> {
+    ) -> WarmPoint {
         let plan = self.plan.as_ref().and_then(Plan::tree);
-        let analysis = plan.and_then(|p| p.analysis.get())?;
+        let analysis = (plan.and_then(|p| p.analysis.get()))
+            .expect("a delta with compressed rows to patch analyzes the plan first");
         let compressor = GroupCompressor::new(&self.trees[0], analysis, cut, meta_vars);
         let set = self.polynomials();
         let rebuilt: Vec<_> = (touched.iter())
@@ -250,11 +249,11 @@ impl CobraSession {
         let rows: Vec<_> = rebuilt.iter().map(|(p, poly)| (*p, poly)).collect();
         let program = compressed.program().patched(&rows);
         let f64 = f64.and_then(|prev| program.patched_f64(prev.program(), touched));
-        Some(WarmPoint {
+        WarmPoint {
             compressed: BatchEvaluator::new(program),
             f64: f64.map(BatchEvaluator::new),
             stale: Vec::new(),
-        })
+        }
     }
 
     /// A frontier point's flat cells: its compressed engine and `f64`
@@ -282,7 +281,7 @@ impl CobraSession {
         let (_, meta_vars) = (plan.subs.get(&idx))
             .expect("a stashed point was selected, so its meta-variables are memoized");
         let f64 = warm.f64.as_ref();
-        self.patched_point(&warm.compressed, f64, cut, meta_vars, &warm.stale)
+        Some(self.patched_point(&warm.compressed, f64, cut, meta_vars, &warm.stale))
     }
 
     /// Replans a tree frontier after a structural delta: re-analyzes only

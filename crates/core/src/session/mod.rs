@@ -25,18 +25,23 @@
 //! its match over the mutation (`add_tree`, `set_bound`, a new selection,
 //! a coefficient-only delta, a structural delta) is this table.
 //!
-//! | artifact | reads | on write: drop or patch | warm policy |
+//! | artifact | reads | on write: drop or patch | warm policy; persistence |
 //! |---|---|---|---|
-//! | flat full program | structure, coefficients | any delta: **patched** — the CSR rows of touched polynomials are spliced, and accumulated churn past a quarter of the program compacts by recompiling | built once, shared by every selection |
-//! | full `f64` shadow | structure, coefficients | coefficient-only delta: **patched** — the touched rows re-convert from the patched program, the other coefficients are copied; structural delta: dropped, rebuilt lazily | shared by every selection |
-//! | full side's DAG twins | structure, coefficients | any delta: dropped, rebuilt lazily from the patched program | shared by every selection |
-//! | tree plan: group analysis, Pareto frontier, node weights, invariant variables, DP tables | structure, trees | `add_tree`: dropped; structural delta: **replanned incrementally** (clean subtrees reuse their DP tables); coefficient-only delta: kept, since no coefficient is read | — |
-//! | tree plan's meta-variable identities per frontier point | structure, trees | `add_tree`, structural delta: dropped (frontier indices shift) | kept for every point, so a re-selection reuses the identities its warm engines were compiled against |
-//! | tree warm stash | structure, coefficients, trees | coefficient-only delta: **patched** — each entry records the touched polynomials it has not absorbed and is patched like the selection cells when re-selected, so re-installing a stashed point never costs a cold compile; structural delta, `add_tree`, or a coefficient-only delta to an entry the plan cannot rebuild rows for yet (no group analysis or memoized meta-variables, as in a re-hydrated session): dropped | flat compressed-side engines and their `f64` shadow: the applied abstraction re-derives cheaply from the point's cut |
-//! | forest staircase and its warm stash | structure, coefficients, trees | any delta, `add_tree`: dropped — staircase sizes are measured by `apply_cuts`, which drops cancelled terms, so the forest plan reads coefficients | whole selection states: `apply_cuts` is the expensive step |
-//! | selection: cut, meta-variables, report | structure, trees, selection | `add_tree`, `set_bound`, a new selection: dropped (the outgoing frontier point is stashed warm first); structural delta: dropped, then re-derived by [`apply_delta`](CobraSession::apply_delta); coefficient-only delta: kept for frontier selections — a tree report is structural, so no coefficient moves it — and re-derived for one-shot compressions | — |
-//! | selection cells: flat compressed engine and its `f64` shadow | structure, coefficients, trees, selection | dropped with the selection; coefficient-only delta on a tree frontier selection: **patched** — the touched polynomials' compressed rows are rebuilt from their slice of the group analysis and spliced into the compressed program (its shape arrays stay shared unless a merged coefficient cancels to zero or un-cancels), the `f64` shadow re-converts those rows, and the comparison pairs the patched full program; any other delta: dropped, rebuilt lazily | — |
-//! | selection's applied polynomials, Higham shadow and DAG cells | structure, coefficients, trees, selection | dropped with the selection; any delta: dropped, rebuilt lazily from the cut and the patched engines | — |
+//! | flat full program | structure, coefficients | any delta: **patched** — the CSR rows of touched polynomials are spliced, and accumulated churn past a quarter of the program compacts by recompiling | built once, shared by every selection; persisted |
+//! | full `f64` shadow | structure, coefficients | coefficient-only delta: **patched** — the touched rows re-convert from the patched program, the other coefficients are copied; structural delta: dropped, rebuilt lazily | shared by every selection; persisted as coefficients over the exact program's shape |
+//! | full side's DAG twins | structure, coefficients | any delta: dropped, rebuilt lazily from the patched program | shared by every selection; re-derived, only the mode persists |
+//! | tree plan: group analysis, Pareto frontier, node weights, invariant variables, DP tables | structure, trees | `add_tree`: dropped; structural delta: **replanned incrementally** (clean subtrees reuse their DP tables); coefficient-only delta: kept, since no coefficient is read — a re-hydrated plan, which carries no group analysis, analyzes its polynomials on the first one that has compressed rows to patch | persisted except the group analysis and DP tables |
+//! | tree plan's meta-variable identities per frontier point | structure, trees | `add_tree`, structural delta: dropped (frontier indices shift) | kept for every point, so a re-selection reuses the identities its warm engines were compiled against; persisted (v3) with each warm entry |
+//! | tree warm stash | structure, coefficients, trees | coefficient-only delta: **patched** — each entry records the touched polynomials it has not absorbed and is patched like the selection cells when re-selected, so re-installing a stashed point never costs a cold compile; structural delta, `add_tree`, or a coefficient-only delta to an entry whose meta-variables were never memoized (a v1 or v2 artifact's): dropped | flat compressed-side engines and their `f64` shadow: the applied abstraction re-derives cheaply from the point's cut; persisted |
+//! | forest staircase and its warm stash | structure, coefficients, trees | any delta, `add_tree`: dropped — staircase sizes are measured by `apply_cuts`, which drops cancelled terms, so the forest plan reads coefficients | whole selection states: `apply_cuts` is the expensive step; not persisted |
+//! | selection: cut, meta-variables, report | structure, trees, selection | `add_tree`, `set_bound`, a new selection: dropped (the outgoing frontier point is stashed warm first); structural delta: dropped, then re-derived by [`apply_delta`](CobraSession::apply_delta); coefficient-only delta: kept for frontier selections — a tree report is structural, so no coefficient moves it — and re-derived for one-shot compressions | persisted (v3) for frontier selections, as the bound: restoring re-selects it, which re-installs the selected point from the warm stash |
+//! | selection cells: flat compressed engine and its `f64` shadow | structure, coefficients, trees, selection | dropped with the selection; coefficient-only delta on a tree frontier selection: **patched** — the touched polynomials' compressed rows are rebuilt from their slice of the group analysis and spliced into the compressed program (its shape arrays stay shared unless a merged coefficient cancels to zero or un-cancels), the `f64` shadow re-converts those rows, and the comparison pairs the patched full program; any other delta: dropped, rebuilt lazily | persisted (v3): the flat engines ride in the warm directory and come back installed |
+//! | selection's applied polynomials, Higham shadow and DAG cells | structure, coefficients, trees, selection | dropped with the selection; any delta: dropped, rebuilt lazily from the cut and the patched engines | re-derived |
+//!
+//! The last column's persistence is [`crate::hydrate`]'s format v3: a
+//! snapshot writes what the table calls state, and a restored session
+//! re-selects its persisted bound through the warm stash, so it answers at
+//! once and is a normal selection from then on.
 //!
 //! The DAG mode ([`compile_dag`](CobraSession::compile_dag)) is not an
 //! input: every engine cell exists once per evaluation mode, flat and DAG,
@@ -294,7 +299,8 @@ impl Plan {
 pub(crate) struct TreePlan {
     /// The group analysis behind the plan. Filled eagerly by planning;
     /// left empty by re-hydration and recomputed only if a *cold*
-    /// selection must materialize compressed polynomials — the warm and
+    /// selection must materialize compressed polynomials or a
+    /// coefficient-only delta must patch compressed rows — the warm and
     /// report-only paths never need it.
     pub(crate) analysis: OnceCell<GroupAnalysis>,
     /// Per-tree-node group weight (monomials abstracted at that node),
@@ -430,13 +436,24 @@ impl CobraSession {
                 match self.plan.as_mut().and_then(Plan::tree_mut) {
                     Some(plan) if !report.is_structural() => {
                         let touched = &report.coeff_polys;
+                        // Compressed rows are rebuilt from the group
+                        // analysis, which a re-hydrated plan builds on the
+                        // first delta that has rows to patch.
+                        let compiled = self.compressed.as_ref().is_some_and(|c| {
+                            c.lazy_cut.is_some() && c.cells.flat.engines.get().is_some()
+                        });
+                        if compiled || !plan.warm.is_empty() {
+                            let polys = Self::polys_of(&self.polys, &self.full.flat.rat);
+                            plan.analysis.get_or_init(|| {
+                                GroupAnalysis::analyze(polys, &self.trees[0])
+                                    .expect("a planned session's polynomials re-analyze cleanly")
+                            });
+                        }
                         // Stashed points absorb the delta when re-selected;
-                        // one the plan cannot rebuild rows for yet (no
-                        // group analysis or memoized meta-variables, as in
-                        // a re-hydrated session) is dropped.
-                        let (analyzed, subs) = (plan.analysis.get().is_some(), &plan.subs);
-                        plan.warm
-                            .retain(|idx, _| analyzed && subs.contains_key(idx));
+                        // one whose meta-variables were never memoized (a
+                        // v1 or v2 artifact's) is dropped.
+                        let subs = &plan.subs;
+                        plan.warm.retain(|idx, _| subs.contains_key(idx));
                         for warm in plan.warm.values_mut() {
                             warm.stale.extend(touched);
                             warm.stale.sort_unstable();
@@ -717,6 +734,16 @@ impl CobraSession {
                 .map(EvalProgram::num_slots)
                 .reduce(|a, b| a + b),
         }
+    }
+
+    /// The current selection's compiled flat compressed program, if it
+    /// has been built (engines compile on first evaluation, or come back
+    /// installed with a restored selection) — for inspecting what a
+    /// selection evaluates and whether a delta patched it in place
+    /// ([`EvalProgram::shares_shape`]).
+    pub fn compressed_program(&self) -> Option<&EvalProgram<Rat>> {
+        let state = self.compressed.as_ref()?;
+        state.cells.flat.engines.get().map(|e| e.compressed.program())
     }
 
     /// Forces every lazily compiled engine of the current selection —

@@ -561,10 +561,18 @@ impl EvalProgram<Rat> {
     /// Converts an exact program into its `f64` counterpart (same shape and
     /// variable numbering, approximate coefficients).
     pub fn to_f64_program(&self) -> EvalProgram<f64> {
+        let coeffs: Vec<f64> = self.coeffs.iter().map(|c| c.to_f64()).collect();
+        self.with_f64_coeffs(coeffs.into())
+    }
+
+    /// The `f64` program over this program's shape with one coefficient
+    /// per term: every shape array, label and variable table is shared.
+    pub(crate) fn with_f64_coeffs(&self, coeffs: ArcSlice<f64>) -> EvalProgram<f64> {
+        assert_eq!(coeffs.len(), self.coeffs.len(), "one coefficient per term");
         EvalProgram {
             labels: self.labels.clone(),
             poly_offsets: self.poly_offsets.clone(),
-            coeffs: self.coeffs.iter().map(|c| c.to_f64()).collect::<Vec<_>>().into(),
+            coeffs,
             term_offsets: self.term_offsets.clone(),
             var_ids: self.var_ids.clone(),
             exps: self.exps.clone(),

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! offset 0   magic    "COBR"            (u32, little-endian bytes)
-//! offset 4   version  1                 (u32)
+//! offset 4   version  3                 (u32)
 //! offset 8   checksum lane-FNV-1a-64    (u64, over every byte from offset 16; see [`fnv1a64`])
 //! offset 16  section count              (u32, then 12 pad bytes)
 //! offset 32  section table              (count × { tag u32, pad u32, offset u64, len u64 })
@@ -17,6 +17,12 @@
 //! slice regions **in place** — loading an [`EvalProgram`] re-allocates no
 //! CSR array, only the small label/local tables. That is what makes server
 //! cold-start O(page faults) instead of O(recompile).
+//!
+//! An `f64` shadow shares every shape array with the exact program it was
+//! converted from, so from version 3 a shadow section holds only its
+//! coefficient array ([`write_shadow`]); the reader pairs it with the
+//! exact program's aliased shape ([`read_shadow`]) instead of storing the
+//! shape twice.
 //!
 //! # Example: round-trip a compiled program
 //!
@@ -73,9 +79,12 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"COBR";
 /// Current format version, the one writers emit. Version 2 added the
 /// shared-subterm slot count to program sections ([`write_program`]) and
-/// the DAG-engine flag to session sections; readers still accept
-/// [`MIN_VERSION`] artifacts (absent fields default to zero).
-pub const VERSION: u32 = 2;
+/// the DAG-engine flag to session sections; version 3 writes `f64`
+/// shadows as coefficient arrays over their exact program's shape
+/// ([`write_shadow`]) and adds the selection to session sections.
+/// Readers still accept [`MIN_VERSION`] artifacts (absent fields default
+/// to zero).
+pub const VERSION: u32 = 3;
 /// Oldest artifact version readers accept.
 pub const MIN_VERSION: u32 = 1;
 
@@ -208,33 +217,77 @@ fn as_bytes<T: Copy>(s: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
 }
 
-/// Incrementally builds an artifact: open sections with
+/// Builds an artifact image in one buffer: open sections with
 /// [`begin_section`](Self::begin_section), append primitives, then
-/// [`finish`](Self::finish) to assemble the header, table, padding and
+/// [`finish`](Self::finish) to fill in the header, section table and
 /// checksum.
-#[derive(Default)]
+///
+/// Payloads are written in place at their final 16-byte aligned offsets,
+/// after room reserved for the section table
+/// ([`with_capacity`](Self::with_capacity)). A writer that opens a
+/// different number of sections than it reserved room for moves the
+/// payloads once, within the buffer, when it finishes.
 pub struct ArtifactWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+    image: Vec<u8>,
+    /// Section-table entries the image reserves room for.
+    table_room: usize,
+    /// `(tag, offset, length)` per section, in image coordinates; the open
+    /// section's length is filled in when it closes.
+    sections: Vec<(u32, usize, usize)>,
+}
+
+impl Default for ArtifactWriter {
+    fn default() -> ArtifactWriter {
+        ArtifactWriter::new()
+    }
+}
+
+/// Header plus a section table of `sections` entries, padded to where the
+/// first payload starts.
+fn prefix_len(sections: usize) -> usize {
+    (TABLE_START + sections * TABLE_ENTRY_LEN).next_multiple_of(16)
 }
 
 impl ArtifactWriter {
     /// An empty writer.
     pub fn new() -> ArtifactWriter {
-        ArtifactWriter::default()
+        ArtifactWriter::with_capacity(0, 0)
+    }
+
+    /// An empty writer whose image reserves table room for `sections`
+    /// sections and `bytes` bytes of payload, so writing that much neither
+    /// reallocates nor moves a payload.
+    pub fn with_capacity(sections: usize, bytes: usize) -> ArtifactWriter {
+        let room = prefix_len(sections);
+        let mut image = Vec::with_capacity(room + bytes);
+        image.resize(room, 0);
+        ArtifactWriter {
+            image,
+            table_room: sections,
+            sections: Vec::with_capacity(sections),
+        }
     }
 
     /// Starts a new section with the given tag; subsequent `put_*` calls
     /// append to it.
     pub fn begin_section(&mut self, tag: u32) {
-        self.sections.push((tag, Vec::new()));
+        self.close_section();
+        pad_to(&mut self.image, 16);
+        self.sections.push((tag, self.image.len(), 0));
+    }
+
+    fn close_section(&mut self) {
+        if let Some((_, offset, len)) = self.sections.last_mut() {
+            *len = self.image.len() - *offset;
+        }
     }
 
     fn buf(&mut self) -> &mut Vec<u8> {
-        &mut self
-            .sections
-            .last_mut()
-            .expect("ArtifactWriter: put_* before begin_section")
-            .1
+        assert!(
+            !self.sections.is_empty(),
+            "ArtifactWriter: put_* before begin_section"
+        );
+        &mut self.image
     }
 
     /// Appends a little-endian `u32`.
@@ -284,33 +337,38 @@ impl ArtifactWriter {
         buf.extend_from_slice(as_bytes(s));
     }
 
-    /// Assembles the final artifact image: header, section table, 16-byte
-    /// aligned section payloads, and the checksum over everything past the
-    /// header.
-    pub fn finish(self) -> Vec<u8> {
+    /// Completes the artifact image: header, section table and the
+    /// checksum over everything past the header.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.close_section();
         let count = self.sections.len();
-        let mut out = vec![0u8; HEADER_LEN];
-        out.extend_from_slice(&(count as u32).to_le_bytes());
-        out.resize(TABLE_START, 0);
-        let table_pos = out.len();
-        out.resize(table_pos + count * TABLE_ENTRY_LEN, 0);
-        let mut entries = Vec::with_capacity(count);
-        for (tag, payload) in &self.sections {
-            pad_to(&mut out, 16);
-            entries.push((*tag, out.len() as u64, payload.len() as u64));
-            out.extend_from_slice(payload);
+        let (room, need) = (prefix_len(self.table_room), prefix_len(count));
+        if room != need {
+            let len = self.image.len();
+            let moved = len - room + need;
+            if need > room {
+                self.image.resize(moved, 0);
+            }
+            self.image.copy_within(room..len, need);
+            self.image.truncate(moved);
+            for (_, offset, _) in &mut self.sections {
+                *offset = *offset - room + need;
+            }
         }
-        for (i, (tag, offset, len)) in entries.iter().enumerate() {
-            let at = table_pos + i * TABLE_ENTRY_LEN;
+        let out = &mut self.image;
+        out[..need].fill(0);
+        out[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(count as u32).to_le_bytes());
+        for (i, &(tag, offset, len)) in self.sections.iter().enumerate() {
+            let at = TABLE_START + i * TABLE_ENTRY_LEN;
             out[at..at + 4].copy_from_slice(&tag.to_le_bytes());
-            out[at + 8..at + 16].copy_from_slice(&offset.to_le_bytes());
-            out[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+            out[at + 16..at + 24].copy_from_slice(&(len as u64).to_le_bytes());
         }
         let checksum = fnv1a64(&out[HEADER_LEN..]);
         out[0..4].copy_from_slice(&MAGIC);
         out[4..8].copy_from_slice(&VERSION.to_le_bytes());
         out[8..16].copy_from_slice(&checksum.to_le_bytes());
-        out
+        self.image
     }
 }
 
@@ -560,6 +618,95 @@ pub fn write_program<C: PersistCoeff>(w: &mut ArtifactWriter, tag: u32, prog: &E
     C::write_slice(w, coeffs);
 }
 
+/// An upper bound on the bytes [`write_program`] adds for `prog`, section
+/// alignment included — for sizing an [`ArtifactWriter`].
+pub fn program_len<C: PersistCoeff>(prog: &EvalProgram<C>) -> usize {
+    let (poly_offsets, coeffs, term_offsets, var_ids, exps) = prog.csr_parts();
+    let labels: usize = prog.labels().iter().map(|l| 8 + l.len()).sum();
+    let words = prog.num_locals() + poly_offsets.len() + term_offsets.len();
+    let words = words + var_ids.len() + exps.len();
+    7 * 16 + labels + 4 * words + std::mem::size_of_val(coeffs)
+}
+
+/// Writes `shadow`, the `f64` shadow of `exact`, as one section under
+/// `tag` holding only its coefficient array. A shadow shares every shape
+/// array, label and variable table with the exact program it was
+/// converted from ([`EvalProgram::to_f64_program`],
+/// [`EvalProgram::patched_f64`]), so [`read_shadow`] pairs the
+/// coefficients with the exact program's shape instead of the artifact
+/// storing it twice. A `shadow` over some other shape is written as
+/// `exact`'s own conversion, which holds the same values.
+pub fn write_shadow(
+    w: &mut ArtifactWriter,
+    tag: u32,
+    exact: &EvalProgram<Rat>,
+    shadow: &EvalProgram<f64>,
+) {
+    w.begin_section(tag);
+    w.put_u32(f64::TYPE_ID);
+    let (_, coeffs, ..) = shadow.csr_parts();
+    if shadow.shares_shape(exact) {
+        w.put_f64_slice(coeffs);
+    } else {
+        w.put_f64_slice(exact.to_f64_program().csr_parts().1);
+    }
+}
+
+/// An upper bound on the bytes [`write_shadow`] adds for the shadow of
+/// `exact`.
+pub fn shadow_len(exact: &EvalProgram<Rat>) -> usize {
+    3 * 16 + 8 * exact.num_terms()
+}
+
+/// Reads the `f64` shadow of `exact` written under `tag`, its
+/// coefficients aliasing the artifact (kept alive by `owner`) and every
+/// shape array shared with `exact`. Before version 3 a shadow section
+/// was a whole program ([`write_program`]); its shape must then equal
+/// `exact`'s, and only its coefficients are kept.
+pub fn read_shadow(
+    reader: &ArtifactReader<'_>,
+    tag: u32,
+    exact: &EvalProgram<Rat>,
+    owner: Arc<dyn Any + Send + Sync>,
+) -> Result<EvalProgram<f64>, PersistError> {
+    let coeffs = if reader.version() >= 3 {
+        let mut s = reader.section(tag)?;
+        let type_id = s.get_u32()?;
+        if type_id != f64::TYPE_ID {
+            return Err(PersistError::Invalid(format!(
+                "shadow coefficient type {type_id}, expected {}",
+                f64::TYPE_ID
+            )));
+        }
+        s.get_f64_slice()?
+    } else {
+        let view = read_program_ref::<f64>(reader, tag)?;
+        let (poly_offsets, _, term_offsets, var_ids, exps) = exact.csr_parts();
+        let same = view.poly_offsets == poly_offsets
+            && view.term_offsets == term_offsets
+            && view.var_ids == var_ids
+            && view.exps == exps
+            && view.num_slots == exact.num_slots()
+            && view.labels.iter().eq(exact.labels())
+            && view.locals.iter().eq(exact.vars().iter().map(|v| &v.0));
+        if !same {
+            return Err(PersistError::Invalid(
+                "an f64 shadow's shape differs from its exact program's".to_owned(),
+            ));
+        }
+        view.coeffs
+    };
+    if coeffs.len() != exact.num_terms() {
+        return Err(PersistError::Invalid(
+            "an f64 shadow's coefficient count differs from its exact program's".to_owned(),
+        ));
+    }
+    // Safety: `owner` keeps the artifact bytes (which `coeffs` borrows
+    // from) alive and immutable for the slice's lifetime.
+    let coeffs = unsafe { ArcSlice::from_raw_parts(coeffs.as_ptr(), coeffs.len(), owner) };
+    Ok(exact.with_f64_coeffs(coeffs))
+}
+
 /// Borrowed zero-copy view of a persisted [`EvalProgram`]: every array
 /// aliases the artifact bytes. Convert with
 /// [`to_program`](Self::to_program) (still zero-copy, keep-alive via an
@@ -604,7 +751,9 @@ pub fn read_program_ref<'a, C: PersistCoeff>(
     } else {
         0
     };
-    let mut labels = Vec::with_capacity(num_polys);
+    // Every label takes at least its 4-byte length: a count the section
+    // cannot hold fails on the first missing label, not in the allocator.
+    let mut labels = Vec::with_capacity(num_polys.min(s.remaining() / 4));
     for _ in 0..num_polys {
         labels.push(s.get_str()?);
     }
@@ -829,6 +978,56 @@ mod tests {
         assert!(matches!(
             r.section(0xC),
             Err(PersistError::MissingSection(0xC))
+        ));
+    }
+
+    #[test]
+    fn table_room_never_changes_the_image() {
+        let write = |mut w: ArtifactWriter| {
+            for tag in [3, 1, 2] {
+                w.begin_section(tag);
+                w.put_str("odd");
+                w.put_rat_slice(&[Rat::new(1, 3)]);
+            }
+            w.finish()
+        };
+        let image = write(ArtifactWriter::new());
+        for (sections, bytes) in [(3, image.len()), (2, 0), (4, 10), (9, 1 << 12)] {
+            assert_eq!(write(ArtifactWriter::with_capacity(sections, bytes)), image);
+        }
+        let empty = ArtifactWriter::with_capacity(5, 64).finish();
+        assert_eq!(empty, ArtifactWriter::new().finish());
+        assert_eq!(empty.len(), TABLE_START);
+    }
+
+    #[test]
+    fn shadow_sections_pair_with_their_exact_programs_shape() {
+        let (_reg, prog) = sample_program();
+        let shadow = prog.to_f64_program();
+        let mut w = ArtifactWriter::new();
+        write_program(&mut w, tags::PROGRAM_RAT, &prog);
+        write_shadow(&mut w, tags::PROGRAM_F64, &prog, &shadow);
+        let bytes = w.finish();
+        let image = Arc::new(AlignedBytes::copy_from(&bytes));
+        let r = ArtifactReader::parse(image.bytes()).unwrap();
+        let exact = read_program_ref::<Rat>(&r, tags::PROGRAM_RAT)
+            .unwrap()
+            .to_program(image.clone());
+        let loaded = read_shadow(&r, tags::PROGRAM_F64, &exact, image.clone()).unwrap();
+        assert!(loaded.shares_shape(&exact));
+        assert_eq!(loaded.csr_parts().1, shadow.csr_parts().1);
+        // The section is the coefficients alone.
+        let section = r.section(tags::PROGRAM_F64).unwrap().remaining();
+        assert!(section <= shadow_len(&prog) && section < 24 + 8 * prog.num_terms());
+        // A shadow paired with a program of another length is refused.
+        let (_reg, other) = {
+            let mut reg = VarRegistry::new();
+            let set = parse_polyset("P = x", &mut reg).unwrap();
+            (reg, EvalProgram::compile(&set))
+        };
+        assert!(matches!(
+            read_shadow(&r, tags::PROGRAM_F64, &other, image.clone()),
+            Err(PersistError::Invalid(_))
         ));
     }
 

@@ -18,8 +18,12 @@
 //! with `persist:true` snapshots the session
 //! ([`cobra_core::snapshot_session`]); a later `prepare` (or any
 //! request) naming that id re-loads it by mmap, zero-copy, through
-//! [`cobra_core::restore_session`]. The in-memory tier is optionally
-//! capped ([`ServerConfig::max_sessions`]): past the cap the
+//! [`cobra_core::restore_session`]. A re-loaded session answers reads at
+//! once: the artifact carries its selection (format v3), so a `sweep` or
+//! `assign` sent straight after the re-load needs no `select_bound`
+//! first, and the selected engines come back compiled. The in-memory
+//! tier is optionally capped ([`ServerConfig::max_sessions`]): past the
+//! cap the
 //! least-recently-used session is retired to the disk tier (and keeps
 //! answering from there), or refused with a typed `store_full` error
 //! when no disk tier exists. A graceful `shutdown` drains the whole

@@ -5,7 +5,8 @@
 //! [`CobraSession`]); the disk tier is a directory of
 //! [`cobra_provenance::persist`] artifacts written by `prepare … persist`
 //! and re-loaded — zero-copy, by mmap — on the first request that misses
-//! the in-memory tier.
+//! the in-memory tier. An artifact carries its session's selection, so
+//! the request that triggered the re-load is answered straight away.
 //!
 //! ## Capacity
 //!

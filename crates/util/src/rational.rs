@@ -712,9 +712,12 @@ impl fmt::Display for Rat {
         let digits = pow2.max(pow5);
         // Scale numerator so the denominator becomes 10^digits.
         let scale = 2i128.pow(digits - pow2) * 5i128.pow(digits - pow5);
-        let scaled = self.num * scale;
-        let (sign, scaled) = if scaled < 0 { ("-", -scaled) } else { ("", scaled) };
-        let ten = 10i128.pow(digits);
+        let Some(scaled) = self.num.checked_mul(scale) else {
+            return write!(f, "{}/{}", self.num, self.den);
+        };
+        let sign = if scaled < 0 { "-" } else { "" };
+        let scaled = scaled.unsigned_abs();
+        let ten = 10u128.pow(digits);
         let int_part = scaled / ten;
         let frac = scaled % ten;
         let frac_str = format!("{:0width$}", frac, width = digits as usize);
@@ -784,6 +787,17 @@ mod tests {
         assert_eq!(Rat::parse("3/4").unwrap(), Rat::new(3, 4));
         assert_eq!(Rat::parse("-6/8").unwrap(), Rat::new(-3, 4));
         assert_eq!(Rat::new(1, 3).to_string(), "1/3");
+        // A decimal whose scaled numerator would overflow falls back to
+        // the fraction, and the most negative numerator keeps its sign.
+        assert_eq!(
+            Rat::new(i128::MAX, 4).to_string(),
+            format!("{}/4", i128::MAX)
+        );
+        assert_eq!(Rat::int(i64::MIN).to_string(), i64::MIN.to_string());
+        assert_eq!(
+            Rat::new(i128::MIN, 1).to_string(),
+            i128::MIN.to_string()
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Persistence-format stability: session artifacts committed to the
-//! repo (`tests/golden/session_v1.cobra`, a version-1 artifact, and
+//! repo (`tests/golden/session_v1.cobra`, a version-1 artifact,
 //! `session_v2.cobra`, a version-2 artifact with algebraic compression
-//! armed) must keep loading — and keep answering bit-identically — as
-//! the codebase evolves. A failure here means the on-disk format
-//! changed; bump the format version in `cobra_provenance::persist` and
-//! regenerate the *current*-version artifact instead of silently
-//! breaking persisted stores (older goldens are never regenerated —
-//! they pin backward compatibility):
+//! armed, and `session_v3.cobra`, a version-3 artifact carrying its
+//! selection) must keep loading — and keep answering bit-identically — as
+//! the codebase evolves, and snapshotting the reference session must
+//! reproduce the current-version artifact byte for byte. A failure here
+//! means the on-disk format changed; bump the format version in
+//! `cobra_provenance::persist` and regenerate the *current*-version
+//! artifact instead of silently breaking persisted stores (older goldens
+//! are never regenerated — they pin backward compatibility):
 //!
 //! ```text
 //! cargo test --test persist_golden -- --ignored regenerate
@@ -26,9 +28,31 @@ const GOLDEN_V2: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/session_v2.cobra"
 );
+const GOLDEN_V3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/session_v3.cobra"
+);
 
-/// The reference session the golden artifact was generated from: paper
-/// running example, full frontier, one warm engine left by a bound hop.
+fn read_golden(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden artifact {path}: {e}\n\
+             regenerate the current version with: \
+             cargo test --test persist_golden -- --ignored regenerate"
+        )
+    })
+}
+
+/// Artifacts older than version 3 persist no selection.
+fn assert_restored_without_selection(restored: &CobraSession) {
+    let info = restored.info();
+    assert_eq!(info.bound, None, "a pre-v3 artifact restores unselected");
+    assert_eq!(info.compressed_size, None);
+}
+
+/// The reference session the golden artifacts were generated from: paper
+/// running example, full frontier, one warm engine left by a bound hop,
+/// and the last frontier point selected with its engines compiled.
 fn reference_session() -> CobraSession {
     let mut s = CobraSession::from_text(POLYS).unwrap();
     s.add_tree_text(TREE).unwrap();
@@ -97,6 +121,7 @@ fn golden_artifact_still_loads_and_answers_identically() {
         !info.dag,
         "a v1 artifact predates the dag flag, which must default off"
     );
+    assert_restored_without_selection(&restored);
     assert_answers_match_reference(&mut restored);
 }
 
@@ -116,9 +141,40 @@ fn golden_v2_artifact_restores_with_dag_armed() {
         info.dag,
         "the v2 golden was snapshotted with algebraic compression armed"
     );
+    assert_restored_without_selection(&restored);
     // DAG programs are deterministic rewrites and never persisted: the
     // restored session re-derives them lazily and must still answer
     // bit-identically to the flat reference.
+    assert_answers_match_reference(&mut restored);
+}
+
+#[test]
+fn snapshotting_the_reference_reproduces_the_v3_golden() {
+    let golden = read_golden(GOLDEN_V3);
+    let bytes = snapshot_session(&reference_session()).unwrap();
+    assert_eq!(golden.len(), bytes.len(), "v3 artifact size changed");
+    assert!(golden == bytes, "v3 artifact bytes changed");
+}
+
+#[test]
+fn golden_v3_artifact_restores_with_its_selection() {
+    let restored = restore_session_from_bytes(&read_golden(GOLDEN_V3))
+        .expect("the committed v3 golden artifact must keep loading — format change?");
+    let reference = reference_session();
+    let (got, want) = (restored.info(), reference.info());
+    assert!(got.hydrated, "installing the selection decompiles nothing");
+    assert_eq!(got.bound, want.bound);
+    assert!(got.bound.is_some());
+    assert_eq!(got.compressed_size, want.compressed_size);
+    // It answers at once: no select_bound before the first read.
+    let mut scenario = Valuation::with_default(Rat::ONE);
+    let m3 = restored.registry().lookup("m3").unwrap();
+    scenario.set(m3, Rat::parse("0.8").unwrap());
+    assert_eq!(
+        restored.assign(&scenario).unwrap().rows,
+        reference.assign(&scenario).unwrap().rows
+    );
+    let mut restored = restored;
     assert_answers_match_reference(&mut restored);
 }
 
@@ -132,14 +188,12 @@ fn freshly_snapshotted_bytes_restore_identically() {
 }
 
 #[test]
-#[ignore = "regenerates tests/golden/session_v2.cobra in place"]
+#[ignore = "regenerates tests/golden/session_v3.cobra in place"]
 fn regenerate() {
-    // Only the current-version artifact is ever regenerated; the v1
-    // golden is frozen history pinning backward compatibility.
-    let mut session = reference_session();
-    session.compile_dag().unwrap();
-    let bytes = snapshot_session(&session).unwrap();
+    // Only the current-version artifact is ever regenerated; the v1 and
+    // v2 goldens are frozen history pinning backward compatibility.
+    let bytes = snapshot_session(&reference_session()).unwrap();
     std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden")).unwrap();
-    std::fs::write(GOLDEN_V2, &bytes).unwrap();
-    println!("wrote {} bytes to {GOLDEN_V2}", bytes.len());
+    std::fs::write(GOLDEN_V3, &bytes).unwrap();
+    println!("wrote {} bytes to {GOLDEN_V3}", bytes.len());
 }

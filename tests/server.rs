@@ -3,9 +3,13 @@
 //! request coalescer, the persistence tier, deadlines, and fault
 //! isolation.
 
+use cobra::core::{snapshot_session, CobraSession};
+use cobra::provenance::persist::fnv1a64;
+use cobra::provenance::Valuation;
 use cobra::server::json::{parse, Json};
 use cobra::server::{serve, ServerConfig};
 use cobra::util::framed::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+use cobra::util::Rat;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
@@ -555,6 +559,70 @@ fn session_cap_evicts_lru_to_store_and_reloads_transparently() {
     assert_ok(&reply);
     assert_eq!(reply.get("compressed_size"), Some(&Json::Num(2.0)));
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_retired_session_answers_a_sweep_straight_after_reload() {
+    let dir = scratch_dir("retired-sweep");
+    let server = serve(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        max_sessions: Some(1),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = connect(server.addr());
+    let sweep = sweep_request("ra", &[("m3", "0.8"), ("v", "2"), ("m1", "6/5")], None);
+    assert_ok(&prepare(&mut c, "ra", false));
+    assert_ok(&select_bound(&mut c, "ra", 2));
+    let live = request(&mut c, &sweep);
+    assert_ok(&live);
+    // Admitting "rb" retires "ra" to the disk tier, selection included…
+    assert_ok(&prepare(&mut c, "rb", false));
+    assert!(dir.join("ra.cobra").is_file());
+    // …so the sweep that re-loads it is answered with no select_bound.
+    let reloaded = request(&mut c, &sweep);
+    assert_ok(&reloaded);
+    assert_eq!(reloaded.get("rows"), live.get("rows"));
+    let stats = request(&mut c, r#"{"op":"stats","session":"ra"}"#);
+    assert_eq!(stats.get("bound"), Some(&Json::Num(2.0)));
+    assert_eq!(stats.get("hydrated"), Some(&Json::Bool(true)));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_corrupt_artifact_is_a_typed_error_and_the_connection_keeps_answering() {
+    // A checksum-valid artifact whose base valuation has a zero
+    // denominator: the loader must refuse it, not panic.
+    let mut session = CobraSession::from_text(POLYS).unwrap();
+    session.add_tree_text(TREE).unwrap();
+    session.compress_frontier().unwrap();
+    session.set_base_valuation(Valuation::with_default(Rat::new(7, 3)));
+    let mut bytes = snapshot_session(&session).unwrap();
+    let default: Vec<u8> = [7i128, 3].iter().flat_map(|v| v.to_le_bytes()).collect();
+    let at = bytes.windows(32).position(|w| w == default.as_slice()).unwrap() + 16;
+    bytes[at..at + 16].fill(0);
+    let checksum = fnv1a64(&bytes[16..]);
+    bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
+    let dir = scratch_dir("corrupt");
+    std::fs::write(dir.join("bad.cobra"), &bytes).unwrap();
+
+    let server = serve(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = connect(server.addr());
+    let reply = request(&mut c, r#"{"op":"prepare","session":"bad"}"#);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(reply.get("kind").and_then(Json::as_str), Some("session"));
+    // The same connection is still served.
+    assert_ok(&prepare(&mut c, "good", false));
+    assert_ok(&select_bound(&mut c, "good", 2));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -96,6 +96,9 @@ enum Op {
     DagOff,
     Intern(String),
     SnapshotRestore,
+    /// Snapshot → restore, then a coefficient-only delta, which must patch
+    /// a restored frontier selection's compressed program in place.
+    RestoreThenDelta(PolyDelta<Rat>),
 }
 
 /// An error as the two sessions must agree on it: its variant, plus the
@@ -188,14 +191,30 @@ fn step(s: &mut CobraSession, m: &mut Model, op: &Op) -> Result<String, String> 
             let r = snapshot_session(s).and_then(|bytes| restore_session_from_bytes(&bytes));
             match r {
                 Ok(restored) => {
-                    // Bound and selection are not persisted.
+                    // A frontier selection persists with its bound; a
+                    // one-shot compression does not.
                     *s = restored;
-                    m.bound = None;
-                    m.selection = None;
+                    if m.selection != Some(Selection::Selected) {
+                        m.bound = None;
+                        m.selection = None;
+                    }
                     Ok(String::new())
                 }
                 Err(e) => Err(kind(&e)),
             }
+        }
+        Op::RestoreThenDelta(delta) => {
+            step(s, m, &Op::SnapshotRestore)?;
+            let before = s.compressed_program().cloned();
+            let r = step(s, m, &Op::Delta(delta.clone()));
+            if let (Some(before), true) = (before, r.is_ok()) {
+                // The restored selection's cells are kept and patched in
+                // place: positive coefficients never cancel, so the
+                // compressed program keeps every shape array.
+                let after = s.compressed_program().expect("the selection cells are kept");
+                assert!(after.shares_shape(&before), "the selection was rebuilt");
+            }
+            r
         }
     }
 }
@@ -598,5 +617,44 @@ fn gen_signed_op(rng: &mut SplitMix64, s: &CobraSession, k: usize) -> Op {
 fn single_tree_sessions_with_cancelling_coefficients_match_fresh_rebuilds() {
     for seed in 0..CASES {
         run_history(0xca9c_e100 + seed, &[TREE], signed_polys, gen_signed_op);
+    }
+}
+
+/// Inner-node names of [`TREE`]: a user variable sharing one must never
+/// be aliased by that node's meta-variable, before or after a restore.
+const NODE_NAMES: [&str; 3] = ["T", "A", "B"];
+
+/// Mostly plans, selects frontier points and sends the session through
+/// snapshot → restore, often with a coefficient-only delta straight
+/// after.
+fn gen_restore_op(rng: &mut SplitMix64, s: &CobraSession, k: usize) -> Op {
+    let total = s.polynomials().total_monomials() as u64;
+    let sizes: Vec<u64> = s
+        .frontier()
+        .map_or(Vec::new(), |f| f.points().iter().map(|p| p.size).collect());
+    match rng.gen_range(100) {
+        0..=9 => Op::Plan,
+        10..=29 if !sizes.is_empty() => Op::SelectBound(pick(rng, &sizes)),
+        10..=34 => Op::SelectBound(1 + rng.gen_range(total + 2)),
+        35..=39 => Op::SetBoundCompress(1 + rng.gen_range(total + 2)),
+        40..=54 => Op::Delta(coeff_delta(rng, s.polynomials())),
+        55..=61 => Op::Delta(structural_delta(rng, s)),
+        62..=65 => Op::CompileDag,
+        66..=67 => Op::DagOff,
+        68..=71 => Op::Intern(pick(rng, &NODE_NAMES).to_owned()),
+        72..=74 => Op::Intern(format!("user{k}")),
+        75..=84 => Op::SnapshotRestore,
+        _ => Op::RestoreThenDelta(coeff_delta(rng, s.polynomials())),
+    }
+}
+
+/// One tree, with snapshot → restore as an op in the sequence: a restored
+/// session — its selection included — must match a fresh rebuild, and a
+/// coefficient-only delta after a restore patches the selection's cells
+/// in place instead of dropping them.
+#[test]
+fn restored_sessions_match_fresh_rebuilds_after_every_op() {
+    for seed in 0..CASES {
+        run_history(0x4e57_0e00 + seed, &[TREE], random_polys, gen_restore_op);
     }
 }
